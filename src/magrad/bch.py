@@ -31,6 +31,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .freealg import LambdaPoly, NCPoly
+from .series import compositions, series_div
 from .umqnorm import ConvexityClass, QuasiMonomial, leaf, prod, xi
 
 #: cumulative BCH radius in the plain case (8 verified digits)
@@ -47,17 +48,12 @@ def resolvent_series(N: int) -> tuple:
     """
     if N > _MAX_ORDER:
         raise ValueError(f"series order capped at {_MAX_ORDER}")
-    one_minus = LambdaPoly((1, -1))
+    # R(exp x) = u / (1 + (1-lam)*u) with u = exp(x) - 1
     u = [LambdaPoly()] + [LambdaPoly.const(Fraction(1, math.factorial(k)))
                           for k in range(1, N + 1)]
-    den = [LambdaPoly.const(1)] + [one_minus * u[k].coeffs[0] for k in range(1, N + 1)]
-    c = [LambdaPoly()]
-    for k in range(1, N + 1):
-        acc = u[k]
-        for j in range(1, k):
-            acc = acc - den[k - j] * c[j]
-        c.append(acc)
-    return tuple(c)
+    one_minus = LambdaPoly((1, -1))
+    den = [Fraction(1)] + [one_minus * u[k] for k in range(1, N + 1)]
+    return tuple(series_div(u, den, N))
 
 
 @dataclass
@@ -132,15 +128,6 @@ class PowerComponent:
         return sum(abs(c(lam)) for c in self.poly.terms.values())
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def upsilon_power_component(n: int, degrees: tuple, N: int = 16) -> PowerComponent:
     """Expand the (d1, d2) block-word component of Ups^n.
 
@@ -152,8 +139,8 @@ def upsilon_power_component(n: int, degrees: tuple, N: int = 16) -> PowerCompone
     c = resolvent_series(max(N, d1, d2))
     terms = {}
     if d1 >= n and d2 >= n:
-        for comp1 in _compositions(d1, n):
-            for comp2 in _compositions(d2, n):
+        for comp1 in compositions(d1, n):
+            for comp2 in compositions(d2, n):
                 word = []
                 coeff = LambdaPoly.const(1)
                 for i_k, j_k in zip(comp1, comp2):
@@ -183,7 +170,8 @@ def _aligned_words(mirror: bool) -> tuple:
     ct = (cross_term_53() if mirror else cross_term_35()).evaluate()
     plus = tuple(sorted(w for w, cv in ct.terms.items() if cv > 0))
     minus = [w for w, cv in ct.terms.items() if cv < 0]
-    assert len(plus) == 3 and len(minus) == 1
+    if len(plus) != 3 or len(minus) != 1:
+        raise AssertionError("cross term must hit three aligned words and one opposed")
     return plus, minus[0]
 
 
@@ -195,9 +183,8 @@ def _component_factors(mirror: bool) -> tuple:
     plus, minus = _aligned_words(mirror)
     c = resolvent_series(5)
     c2sq, c3 = c[2] * c[2], c[3]
-    for w in plus:
-        assert comp.poly.coeff(w) == c2sq
-    assert comp.poly.coeff(minus) == c3
+    if any(comp.poly.coeff(w) != c2sq for w in plus) or comp.poly.coeff(minus) != c3:
+        raise AssertionError("cross-word coefficients differ from c2^2 and c3")
     return c2sq, c3
 
 

@@ -14,6 +14,8 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Iterable, Mapping, Sequence, Union
 
+from .series import horner
+
 Word = tuple[int, ...]
 
 #: degrees above this are refused by the permutation-sum builders
@@ -119,10 +121,7 @@ class LambdaPoly:
 
     def __call__(self, lam):
         """Evaluate at ``lam`` (Fraction for exact, float for numeric)."""
-        acc = lam * 0
-        for c in reversed(self.coeffs):
-            acc = acc * lam + (c if isinstance(lam, Fraction) else float(c))
-        return acc
+        return horner(self.coeffs, lam)
 
     def integrate01(self) -> Fraction:
         """Exact integral over lam in [0, 1]."""
@@ -286,18 +285,21 @@ def _check_degree(k: int, max_degree: int):
         raise DegreeError(f"degree {k} outside [1, {max_degree}]")
 
 
+def _perm_sum(k: int, max_degree: int, head: tuple = (), tail: tuple = ()) -> NCPoly:
+    """Sum of the words s in S_k, weighted by lam^asc * (lam-1)^des of the
+    sequence head + s + tail (distinct by construction, so left unchecked)."""
+    _check_degree(k, max_degree)
+    return NCPoly({s: _weight(*_asc_des(head + s + tail))
+                   for s in permutations(range(1, k + 1))})
+
+
 def mu_lambda(k: int, max_degree: int = DEFAULT_MAX_DEGREE) -> NCPoly:
     """Permutation sum over S_k with weight lam^asc(s) * (lam-1)^des(s).
 
     The k! monomials are the words Y_{s(1)}...Y_{s(k)}; the identity word
     carries lam^(k-1).
     """
-    _check_degree(k, max_degree)
-    terms: dict[Word, Coeff] = {}
-    for s in permutations(range(1, k + 1)):
-        asc, des = ascent_descent(s)
-        terms[s] = _weight(asc, des)
-    return NCPoly(terms)
+    return _perm_sum(k, max_degree)
 
 
 def mu_ab(a: int, b: int, max_degree: int = DEFAULT_MAX_DEGREE) -> NCPoly:
@@ -308,14 +310,7 @@ def mu_ab(a: int, b: int, max_degree: int = DEFAULT_MAX_DEGREE) -> NCPoly:
     """
     if a < 0 or b < 0:
         raise DegreeError("a, b must be nonnegative")
-    p1 = a + b
-    _check_degree(p1, max_degree)
-    marker = Fraction(2 * a + 1, 2)
-    terms: dict[Word, Coeff] = {}
-    for s in permutations(range(1, p1 + 1)):
-        asc, des = ascent_descent((marker,) + s)
-        terms[s] = _weight(asc, des)
-    return NCPoly(terms)
+    return _perm_sum(a + b, max_degree, head=(Fraction(2 * a + 1, 2),))
 
 
 def mu_abc(a: int, b: int, c: int, max_degree: int = DEFAULT_MAX_DEGREE) -> NCPoly:
@@ -325,15 +320,8 @@ def mu_abc(a: int, b: int, c: int, max_degree: int = DEFAULT_MAX_DEGREE) -> NCPo
     """
     if min(a, b, c) < 0:
         raise DegreeError("a, b, c must be nonnegative")
-    p1 = a + b + c
-    _check_degree(p1, max_degree)
-    lo = Fraction(2 * a + 1, 2)
-    hi = Fraction(2 * (a + b) + 1, 2)
-    terms: dict[Word, Coeff] = {}
-    for s in permutations(range(1, p1 + 1)):
-        asc, des = _asc_des((lo,) + s + (hi,))
-        terms[s] = _weight(asc, des)
-    return NCPoly(terms)
+    return _perm_sum(a + b + c, max_degree, head=(Fraction(2 * a + 1, 2),),
+                     tail=(Fraction(2 * (a + b) + 1, 2),))
 
 
 def integrate_lambda(poly: NCPoly) -> NCPoly:

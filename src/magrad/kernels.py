@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .series import factorial_fraction, series_div, series_exp_linear
-from .umqnorm import ConvexityClass, theta_ab
+from .series import factorial_fraction, horner, series_div, series_exp_linear
+from .umqnorm import PLAIN, ConvexityClass, theta_ab
 
 Number = Union[Fraction, float]
 
@@ -38,13 +38,6 @@ def p_ab(a: int, b: int, t):
     return factorial_fraction(a + b, a, b) * (1 - t) ** a * t ** b
 
 
-def _poly_eval(coeffs, t):
-    acc = t * 0
-    for c in reversed(coeffs):
-        acc = acc * t + (c if isinstance(t, Fraction) else float(c))
-    return acc
-
-
 @dataclass(frozen=True)
 class ReducedKernel:
     """One-variable kernel polynomial on [0, 1] plus its two-sided assembly."""
@@ -52,15 +45,18 @@ class ReducedKernel:
     coeffs: tuple          # t-polynomial, lowest power first
     lam: Number
     p_minus_1: int
-    exact: bool = True
+
+    @property
+    def exact(self) -> bool:
+        """True when every coefficient is an exact rational."""
+        return all(isinstance(c, Fraction) for c in self.coeffs)
 
     def __call__(self, t):
-        return _poly_eval(self.coeffs, t)
+        return horner(self.coeffs, t)
 
     def integral01(self):
-        """Exact integral over [0, 1] (the convolution-type spectral radius)."""
-        return sum((c / Fraction(i + 1) if isinstance(c, Fraction) else c / (i + 1))
-                   for i, c in enumerate(self.coeffs))
+        """Integral over [0, 1] (the convolution-type spectral radius)."""
+        return sum(c / (i + 1) for i, c in enumerate(self.coeffs))
 
     def max01(self) -> float:
         """Maximum over [0, 1] via the derivative's real roots."""
@@ -74,7 +70,7 @@ class ReducedKernel:
             for r in roots:
                 if abs(r.imag) < 1e-12 and 0.0 < r.real < 1.0:
                     cand.append(float(r.real))
-        return max(_poly_eval(cs, t) for t in cand)
+        return max(horner(cs, t) for t in cand)
 
     def two_sided(self) -> "TwoSidedKernel":
         return TwoSidedKernel(self)
@@ -103,43 +99,33 @@ class TwoSidedKernel:
         return float(self.lam) == 0.5
 
 
-def reduced_kernel(p_minus_1: int, lam, cls: ConvexityClass,
-                   exact_cap: int = 5) -> ReducedKernel:
+def reduced_kernel(p_minus_1: int, lam, cls: ConvexityClass) -> ReducedKernel:
     """Assemble the reduced kernel from the universal-norm Theta_ab values.
 
     Exact rational coefficients when lam is rational and the class cost is
     exact (plain or q=1); otherwise float coefficients built from enclosure
     midpoints (enclosure widths are ~1e-25, far below every numeric
-    tolerance used downstream).
+    tolerance used downstream).  The degree caps are those of the Theta
+    sources: DEFAULT_MAX_DEGREE for plain, EXHAUSTIVE_CAP through the LP.
     """
     if p_minus_1 < 0:
         raise ValueError("p-1 must be >= 0")
     if p_minus_1 == 0:
-        return ReducedKernel(coeffs=(Fraction(1),), lam=lam, p_minus_1=0,
-                             exact=isinstance(lam, (Fraction, int)))
-    if p_minus_1 > exact_cap:
-        raise ValueError(f"exact kernel mode capped at p-1 = {exact_cap}")
+        return ReducedKernel(coeffs=(Fraction(1),), lam=lam, p_minus_1=0)
     lamf = Fraction(lam)
-    exact = cls.exact
-    thetas = []
-    for a in range(p_minus_1 + 1):
-        b = p_minus_1 - a
-        tv = theta_ab(a, b, lamf, cls)
-        thetas.append(tv.value if exact else tv.mid)
-    # expand sum_a thetas[a] * (p-1)!/(a! b!) (1-t)^a t^b into powers of t
-    zero = Fraction(0) if exact else 0.0
-    coeffs = [zero] * (p_minus_1 + 1)
-    for a in range(p_minus_1 + 1):
+    norms = (theta_ab(a, p_minus_1 - a, lamf, cls) for a in range(p_minus_1 + 1))
+    thetas = [tv.value if cls.exact else tv.mid for tv in norms]
+    # expand sum_a thetas[a] * (p-1)!/(a! b!) (1-t)^a t^b into powers of t;
+    # a float Theta turns each product float through Fraction's fallback
+    coeffs = [Fraction(0)] * (p_minus_1 + 1)
+    for a, theta in enumerate(thetas):
         b = p_minus_1 - a
         base = factorial_fraction(p_minus_1, a, b)
-        base = base if exact else float(base)
         # (1-t)^a = sum_i C(a,i) (-1)^i t^i
         for i in range(a + 1):
-            binom = factorial_fraction(a, i, a - i)
-            term = thetas[a] * base * (binom if exact else float(binom)) * (-1) ** i
-            coeffs[b + i] += term
-    return ReducedKernel(coeffs=tuple(coeffs), lam=lamf if exact else float(lamf),
-                         p_minus_1=p_minus_1, exact=exact)
+            coeffs[b + i] += theta * base * factorial_fraction(a, i, a - i) * (-1) ** i
+    return ReducedKernel(coeffs=tuple(coeffs), lam=lamf if cls.exact else float(lamf),
+                         p_minus_1=p_minus_1)
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +184,7 @@ def g_tilde_series(lam, t, N: int) -> list:
 
 def plain_reduced_kernel(p_minus_1: int, lam) -> ReducedKernel:
     """Exact plain-case reduced kernel (ell^1 Theta_ab route)."""
-    from .umqnorm import PLAIN
-
-    return reduced_kernel(p_minus_1, lam, PLAIN, exact_cap=8)
+    return reduced_kernel(p_minus_1, lam, PLAIN)
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +201,9 @@ def b_correction(lam, t):
     if not -1 <= t <= 1:
         raise ValueError("t must lie in [-1, 1]")
     m = min(lam, 1 - lam)
-    third = Fraction(1, 3) if isinstance(t, Fraction) and isinstance(lam, Fraction) \
-        else 1.0 / 3.0
+    # Fraction(1, 3) when lam and t are exact, else the float 1/3; a final
+    # division by 3 would round the float values differently
+    third = (0 * lam + 0 * t + 1) / 3
     if t >= 0:
         poly = (1 - lam - 3 * t ** 2 + 2 * t ** 3
                 + 6 * lam * t ** 2 - 4 * lam * t ** 3)

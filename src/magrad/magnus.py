@@ -54,18 +54,17 @@ def euler_coeffs(lam, N: int, corrections: Sequence[tuple] = ()) -> list:
 
     (k+1)*T[k+1] = T[k] + lam*(1-lam)*sum_{j=1}^{k-1} T[j]*T[k-j], seeded by
     T[1] = 1, with each correction (k, gap) lowering T[k] by gap (the ODE
-    delay term gap*k*x^(k-1)).  Exact Fractions for rational lam.  With no
+    delay term gap*k*x^(k-1)).  Exact Fractions throughout.  With no
     corrections this is the plain characteristic.
     """
-    exact = isinstance(lam, (Fraction, int))
-    lam = Fraction(lam) if exact else float(lam)
+    lam = Fraction(lam)
     gaps = {}
     for k, gap in corrections:
         if gap < 0:
             raise ValueError("correction gaps must be nonnegative")
-        gaps[int(k)] = gaps.get(int(k), 0) + (Fraction(gap) if exact else float(gap))
+        gaps[int(k)] = gaps.get(int(k), 0) + Fraction(gap)
     mu = lam * (1 - lam)
-    th = [Fraction(0) if exact else 0.0, Fraction(1) if exact else 1.0]
+    th = [Fraction(0), Fraction(1)]
     for m in range(1, N):
         acc = th[m] + mu * sum(th[j] * th[m - j] for j in range(1, m))
         nxt = acc / (m + 1)
@@ -123,8 +122,9 @@ class BoundReport:
     details: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.lower is not None and self.upper is not None:
-            assert self.lower <= self.upper
+        if (self.lower is not None and self.upper is not None
+                and not self.lower <= self.upper):
+            raise AssertionError(f"lower bound {self.lower} exceeds upper bound {self.upper}")
 
     def to_jsonable(self) -> dict:
         out = {"method": self.method, "q": self.q}

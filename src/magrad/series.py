@@ -1,7 +1,9 @@
-"""Small truncated-power-series helpers over exact rational coefficients.
+"""Small exact helpers shared by the polynomial, kernel and series code.
 
-Series are plain lists indexed by power, length N+1 for truncation order N.
-Division requires an invertible constant term.
+Series are plain lists indexed by power, length N+1 for truncation order N,
+with Fraction or `LambdaPoly` coefficients.  Division requires an invertible
+constant term.  Also here: the one Horner evaluator and the compositions of
+an integer, in the lexicographic order that fixes LP column order.
 """
 
 from __future__ import annotations
@@ -10,14 +12,23 @@ from fractions import Fraction
 from math import factorial
 
 
-def series_mul(a, b, N: int) -> list:
-    out = [Fraction(0)] * (N + 1)
-    for i, ca in enumerate(a[: N + 1]):
-        if ca:
-            for j, cb in enumerate(b[: N + 1 - i]):
-                if cb:
-                    out[i + j] += ca * cb
-    return out
+def horner(coeffs, x):
+    """Polynomial `coeffs` (lowest power first) at x: exact for a Fraction x,
+    else with the coefficients as floats."""
+    acc = x * 0
+    for c in reversed(coeffs):
+        acc = acc * x + (c if isinstance(x, Fraction) else float(c))
+    return acc
+
+
+def compositions(total: int, parts: int):
+    """Tuples of `parts` positive integers summing to `total`, lexicographically."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
 
 
 def series_div(num, den, N: int) -> list:

@@ -26,6 +26,7 @@ from math import factorial
 from typing import Optional, Sequence
 
 from .freealg import NCPoly, Word, eval_lambda, l1_norm, mu_ab, mu_lambda
+from .series import compositions
 from .simplex import simplex_min, verify_certificate
 
 #: largest degree with exhaustive quasi-monomial enumeration
@@ -204,19 +205,10 @@ def _shapes_item(d: int) -> list[tuple]:
     if d == 1:
         items.append(("Y", None))
     if d >= 4:
-        for comp in _compositions(d, 4):
+        for comp in compositions(d, 4):
             for subs in itertools.product(*(_shapes_seq(p) for p in comp)):
                 items.append(("Xi",) + tuple(_seq_tree(s) for s in subs))
     return items
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def _seq_tree(seq: tuple) -> tuple:
@@ -350,7 +342,8 @@ class NormValue:
 
     def scale(self, c: Fraction) -> "NormValue":
         c = Fraction(c)
-        assert c > 0
+        if not c > 0:
+            raise AssertionError(f"scale factor must be positive, got {c}")
         return NormValue(self.lo * c, self.hi * c, self.certificates)
 
 
@@ -383,13 +376,12 @@ def _components(target: NCPoly, columns: Sequence[Column], rows: Sequence[Word])
 
 
 def _solve_at_kappa(target: NCPoly, columns: list[Column], rows: list[Word],
-                    kappa: Fraction) -> tuple[Fraction, NormCertificate, list]:
+                    kappa: Fraction) -> tuple[Fraction, NormCertificate]:
     total = Fraction(0)
     coeffs: dict[int, Fraction] = {}
     duals: dict[Word, Fraction] = {}
     basis_all: list = []
     col_index = {id(c): i for i, c in enumerate(columns)}
-    results = []
     for comp in _components(target, columns, rows):
         crows, ccols = comp["rows"], comp["cols"]
         m, k = len(crows), len(ccols)
@@ -415,10 +407,9 @@ def _solve_at_kappa(target: NCPoly, columns: list[Column], rows: list[Word],
         for i, w in enumerate(crows):
             duals[w] = res.y[i]
         basis_all.extend(res.basis)
-        results.append((A, b, c, res))
     cert = NormCertificate(kappa=kappa, value=total, coefficients=coeffs,
                            duals=duals, basis=basis_all)
-    return total, cert, results
+    return total, cert
 
 
 def fa_norm_exact(x: NCPoly, cls: ConvexityClass,
@@ -451,10 +442,10 @@ def fa_norm_exact(x: NCPoly, cls: ConvexityClass,
     for col in columns:
         words.update(col.poly.terms)
     rows = sorted(words)
-    lo_val, lo_cert, _ = _solve_at_kappa(x, columns, rows, cls.kappa_lo)
+    lo_val, lo_cert = _solve_at_kappa(x, columns, rows, cls.kappa_lo)
     if cls.exact:
         return NormValue(lo_val, lo_val, [lo_cert])
-    hi_val, hi_cert, _ = _solve_at_kappa(x, columns, rows, cls.kappa_hi)
+    hi_val, hi_cert = _solve_at_kappa(x, columns, rows, cls.kappa_hi)
     # the optimum is nondecreasing in kappa
     return NormValue(lo_val, hi_val, [lo_cert, hi_cert])
 

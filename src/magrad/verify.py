@@ -48,23 +48,26 @@ def _trunc3(x: float) -> float:
 
 
 def _kernel4_formula(a: int, b: int, lam: Fraction, kappa: Fraction) -> Fraction:
-    """The three displayed degree-4 norm polynomials (and their mirrors)."""
+    """The three displayed degree-4 norm polynomials (and their mirrors);
+    with kappa = 1 (the plain class) lam may also be a numpy grid."""
     if (a, b) == (3, 1):
         return _kernel4_formula(1, 3, 1 - lam, kappa)
     if (a, b) == (4, 0):
         return _kernel4_formula(0, 4, 1 - lam, kappa)
-    m = min(lam, 1 - lam)
     if (a, b) == (0, 4):
         plain = -8 * lam ** 3 + 8 * lam ** 2 + lam
-        gain = 8 * lam ** 2 * (1 - lam) * m
+        gain = 8 * lam
     elif (a, b) == (1, 3):
         plain = 4 * lam ** 4 - 14 * lam ** 3 + 8 * lam ** 2 + 2 * lam
-        gain = 8 * lam ** 2 * (1 - lam) * m
+        gain = 8 * lam
     elif (a, b) == (2, 2):
         plain = 8 * lam ** 4 - 16 * lam ** 3 + 4 * lam ** 2 + 4 * lam
-        gain = 4 * lam * (1 - lam) * m
+        gain = 4
     else:
         raise ValueError((a, b))
+    if kappa == 1:
+        return plain / 24
+    gain *= lam * (1 - lam) * min(lam, 1 - lam)
     return (plain - (1 - kappa) * gain) / 24
 
 
@@ -170,17 +173,6 @@ def check_plain_kernel_oracle() -> tuple[bool, str]:
     return True, f"{count} exact coefficient comparisons"
 
 
-def _plain_theta4_grid(lam: np.ndarray) -> list[np.ndarray]:
-    """Plain degree-4 Theta_ab values on a lam grid (a = 0..4)."""
-    l, ml = lam, 1.0 - lam
-    t04 = (-8 * l ** 3 + 8 * l ** 2 + l) / 24
-    t13 = (4 * l ** 4 - 14 * l ** 3 + 8 * l ** 2 + 2 * l) / 24
-    t22 = (8 * l ** 4 - 16 * l ** 3 + 4 * l ** 2 + 4 * l) / 24
-    t31 = (4 * ml ** 4 - 14 * ml ** 3 + 8 * ml ** 2 + 2 * ml) / 24
-    t40 = (-8 * ml ** 3 + 8 * ml ** 2 + ml) / 24
-    return [t04, t13, t22, t31, t40]  # index a, b = 4 - a
-
-
 def check_maglower() -> tuple[bool, str]:
     """Exact degree-4 correction identity plus the grid ratio floors."""
     # polynomial identity per lam side and t sign, exact coefficients at q=1
@@ -207,11 +199,9 @@ def check_maglower() -> tuple[bool, str]:
         lams = np.clip(np.arange(lam_lo, lam_hi + 1e-12, 1e-3), lam_lo, lam_hi)
         ts = np.linspace(-1.0, 1.0, 2001)
         L, T = np.meshgrid(lams, ts, indexing="ij")
-        thetas = _plain_theta4_grid(L)
         tt = np.where(T >= 0, T, T + 1.0)
-        ktilde = sum(th * 5 * 4 * 3 * 2 / (math.factorial(a) * math.factorial(4 - a))
-                     / 5.0 * (1 - tt) ** a * tt ** (4 - a)
-                     for a, th in enumerate(thetas))
+        ktilde = sum(_kernel4_formula(a, 4 - a, L, 1) * math.comb(4, a)
+                     * (1 - tt) ** a * tt ** (4 - a) for a in range(5))
         kplain = np.where(T >= 0, L * ktilde, (1.0 - L) * ktilde)
         bvals = np.vectorize(kernels.b_correction)(L, T)
         return float((bvals / kplain).min())

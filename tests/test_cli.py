@@ -7,6 +7,7 @@ import pytest
 
 from magrad.cli import main
 from magrad.freealg import eval_lambda, mu_lambda
+from magrad.kernels import plain_reduced_kernel
 
 
 def run(capsys, *argv):
@@ -69,6 +70,14 @@ class TestKernelRadius:
                         "--samples", "3")
         lines = out.strip().splitlines()
         assert code == 0 and lines[0] == "t,ktilde" and len(lines) == 4
+
+    def test_degree_caps_come_from_theta_sources(self, capsys):
+        # plain Theta reaches degree 8; LP-backed classes stop at degree 5
+        code, out = run(capsys, "kernel", "--p-minus-1", "6",
+                        "--lambda", "2/7", "--q", "plain")
+        want = plain_reduced_kernel(6, Fraction(2, 7)).coeffs
+        assert code == 0 and json.loads(out)["coeffs"] == [str(c) for c in want]
+        assert main(["kernel", "--p-minus-1", "6", "--q", "1"]) == 2
 
     def test_radius_json(self, capsys):
         code, out = run(capsys, "radius", "--p-minus-1", "0",

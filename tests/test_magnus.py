@@ -1,10 +1,15 @@
 """Closed forms, the coefficient recursion and corrected ODE, and the bounds."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import magrad
 from magrad.magnus import (
     BoundReport,
     c_bound_pth_root,
@@ -114,6 +119,11 @@ class TestPthRootBound:
                 b = c_bound_pth_root(lam, 5, cls).lower
                 assert c_plain(float(lam)) - 1e-9 <= b <= c_eps(float(lam)) + 1e-9
 
+    def test_plain_above_lp_degree_cap(self):
+        # the plain kernel at lam = 1/2 is the constant 2^-6: radius 2^-7
+        r = c_bound_pth_root(Fraction(1, 2), 7, PLAIN)
+        assert r.lower == pytest.approx(2.0, abs=1e-12)
+
     def test_reflection_symmetry(self):
         b1 = c_bound_pth_root(Fraction(3, 10), 5, Q1).lower
         b2 = c_bound_pth_root(Fraction(7, 10), 5, Q1).lower
@@ -194,3 +204,21 @@ class TestScan:
     def test_bound_report_invariant(self):
         with pytest.raises(AssertionError):
             BoundReport(method="x", q="plain", lower=2.0, upper=1.0)
+
+    def test_bound_report_invariant_under_optimize_flag(self):
+        # `python -O` strips assert statements; the invariant must still raise
+        child = (
+            "from magrad.magnus import BoundReport\n"
+            "assert False  # exits 1 unless -O strips it\n"
+            "try:\n"
+            "    BoundReport(method='x', q='plain', lower=2.0, upper=1.0)\n"
+            "except AssertionError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n"
+        )
+        src = str(Path(magrad.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        res = subprocess.run([sys.executable, "-O", "-c", child], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
