@@ -25,13 +25,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .freealg import LambdaPoly, NCPoly
-from .series import compositions, series_div
+from .series import compositions, refine_max, series_div
 from .umqnorm import ConvexityClass, QuasiMonomial, leaf, prod, xi
 
 #: cumulative BCH radius in the plain case (8 verified digits)
@@ -56,6 +55,14 @@ def resolvent_series(N: int) -> tuple:
     return tuple(series_div(u, den, N))
 
 
+#: series truncation order of every ell^1 evaluation
+_N = 24
+#: orders spanned by the empirical tail-rate window
+_TAIL_WINDOW = 8
+#: the lam grid of both sups (the norm is symmetric under lam <-> 1-lam)
+_LAM_GRID = np.linspace(0.0, 0.5, 1001)
+
+
 @dataclass
 class UpsilonL1:
     """ell^1 norm of Ups at a point, with an empirical geometric tail."""
@@ -69,46 +76,79 @@ class UpsilonL1:
     x: tuple
 
 
-_TAIL_WINDOW = 8
+@dataclass(frozen=True)
+class _LamTable:
+    """Per-lam columns: |c_n(lam)| for n <= _N, c2^2, c3, lam(1-lam), its cube."""
+
+    abs_c: np.ndarray     # shape (_N + 1, number of lams)
+    c2sq: np.ndarray
+    c3: np.ndarray
+    pref: np.ndarray
+    pref3: np.ndarray
 
 
-def _abs_series_sum(coeffs: Sequence[LambdaPoly], lam: float, x: float):
-    terms = [abs(c(lam)) * x ** n for n, c in enumerate(coeffs)]
-    head = sum(terms[1:])
-    # per-step rate from an envelope over a window: robust against isolated
-    # coefficient zeros (even orders vanish at lam = 1/2, and individual
-    # c_n(lam) have accidental roots)
-    N = len(terms) - 1
-    w = min(_TAIL_WINDOW, N - 2)
-    t_hi = max(terms[N - 1], terms[N])
-    t_lo = max(terms[N - 1 - w], terms[N - w])
-    if t_hi == 0.0:
-        return head, 0.0, True
-    if t_lo <= 0.0:
-        return head, math.inf, False
-    rho = (t_hi / t_lo) ** (1.0 / w)
-    if rho >= 1.0:
-        return head, math.inf, False
-    tail = (terms[N - 1] + terms[N]) * rho / (1.0 - rho)
-    return head, tail, True
+def _pow(values: np.ndarray, e: float) -> np.ndarray:
+    """values**e with Python's float pow, one element at a time: numpy's
+    vectorized ** can differ from libm pow in the last bit."""
+    return np.array([v ** e for v in values.tolist()])
 
 
-def upsilon_l1(lam: float, x1: float, x2: float, N: int = 24) -> UpsilonL1:
-    """lam*(1-lam) * (sum |c_n| x1^n) * (sum |c_n| x2^n) with tail majorants."""
-    if not 0.0 <= lam <= 1.0:
+def _lam_table(lams) -> _LamTable:
+    lams = [float(l) for l in lams]
+    if not all(0.0 <= l <= 1.0 for l in lams):
         raise ValueError("lam must lie in [0, 1]")
-    if not (0.0 <= x1 < math.pi and 0.0 <= x2 < math.pi):
+    c = resolvent_series(_N)
+    c2sq_p, c3_p = _component_factors(False)
+    pref = np.array([l * (1.0 - l) for l in lams])
+    return _LamTable(abs_c=np.array([[abs(cn(l)) for l in lams] for cn in c]),
+                     c2sq=np.array([c2sq_p(l) for l in lams]),
+                     c3=np.array([c3_p(l) for l in lams]),
+                     pref=pref, pref3=_pow(pref, 3))
+
+
+@lru_cache(maxsize=None)
+def _grid_table() -> _LamTable:
+    return _lam_table(_LAM_GRID)
+
+
+def _abs_series_sums(t: _LamTable, x: float) -> tuple:
+    """(head, tail, conclusive) of sum_n |c_n(lam)| x^n for every column.
+
+    The tail rate comes from an envelope over a window of orders: robust
+    against isolated coefficient zeros (even orders vanish at lam = 1/2,
+    and individual c_n(lam) have accidental roots).  Rows add in order, as
+    Python's sum over one point does; numpy's pairwise sum moves last bits.
+    """
+    if not 0.0 <= x < math.pi:
         raise ValueError("x1, x2 must lie in [0, pi)")
-    c = resolvent_series(N)
-    h1, t1, ok1 = _abs_series_sum(c, lam, x1)
-    h2, t2, ok2 = _abs_series_sum(c, lam, x2)
-    pref = lam * (1.0 - lam)
+    T = t.abs_c * np.array([x ** n for n in range(_N + 1)])[:, None]
+    head = sum(T[2:], T[1])
+    t_hi = np.maximum(T[_N - 1], T[_N])
+    t_lo = np.maximum(T[_N - 1 - _TAIL_WINDOW], T[_N - _TAIL_WINDOW])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = _pow(t_hi / t_lo, 1.0 / _TAIL_WINDOW)
+        ok = (t_hi == 0.0) | ((t_lo > 0.0) & (rho < 1.0))
+        tail = np.where(ok, (T[_N - 1] + T[_N]) * rho / (1.0 - rho), np.inf)
+    return head, np.where(t_hi == 0.0, 0.0, tail), ok
+
+
+def _upsilon(t: _LamTable, x1: float, x2: float) -> tuple:
+    """(value, head, tail1, tail2, conclusive) of the ell^1 norm of Ups."""
+    h1, t1, ok1 = _abs_series_sums(t, x1)
+    h2, t2, ok2 = (h1, t1, ok1) if x2 == x1 else _abs_series_sums(t, x2)
     if x1 == 0.0 or x2 == 0.0:
-        return UpsilonL1(0.0, 0.0, 0.0, 0.0, True, lam, (x1, x2))
-    ok = ok1 and ok2
-    val = pref * (h1 + t1) * (h2 + t2) if ok else math.inf
-    return UpsilonL1(value=val, head=pref * h1 * h2, tail1=t1, tail2=t2,
-                     conclusive=ok, lam=lam, x=(x1, x2))
+        zero = np.zeros_like(t.pref)
+        return zero, zero, zero, zero, np.ones(zero.shape, dtype=bool)
+    ok = ok1 & ok2
+    with np.errstate(invalid="ignore"):
+        value = np.where(ok, t.pref * (h1 + t1) * (h2 + t2), np.inf)
+    return value, t.pref * h1 * h2, t1, t2, ok
+
+
+def upsilon_l1(lam: float, x1: float, x2: float) -> UpsilonL1:
+    """lam*(1-lam) * (sum |c_n| x1^n) * (sum |c_n| x2^n) with tail majorants."""
+    *sums, ok = (v[0] for v in _upsilon(_lam_table([lam]), x1, x2))
+    return UpsilonL1(*map(float, sums), conclusive=bool(ok), lam=lam, x=(x1, x2))
 
 
 @dataclass
@@ -123,9 +163,6 @@ class PowerComponent:
     n: int
     degrees: tuple
     poly: NCPoly
-
-    def l1_at(self, lam: float) -> float:
-        return sum(abs(c(lam)) for c in self.poly.terms.values())
 
 
 def upsilon_power_component(n: int, degrees: tuple, N: int = 16) -> PowerComponent:
@@ -207,105 +244,50 @@ class GainReport:
                 **({"diagnostic": self.diagnostic} if self.diagnostic else {})}
 
 
-def bch_gain_upper(lam: float, cls: ConvexityClass, x1: float, x2: float,
-                   N: int = 24) -> GainReport:
-    """Upper bound on the universal norm of Ups^3 at one (lam, x1, x2).
+def _cube_bound(t: _LamTable, cls: ConvexityClass, x1: float,
+                x2: float) -> tuple:
+    """(l1, l1^3, gain, conclusive, aligned) in every column of the table.
 
-    ell^1 of Ups^3 factorizes as upsilon_l1(...)^3; when the (3,5) signs
-    align (c3 < 0 < c2^2) the cross-term peels off
-    4*min(c2^2, |c3|)*(1-kappa) times lam^3 (1-lam)^3 x1^3 x2^5, and the
-    mirrored (5,3) component contributes the same with x-powers swapped.
-    The gain uses the upper kappa endpoint, so the bound stays valid for
-    enclosed kappa.
+    ell^1 of Ups^3 factorizes as l1^3; when the (3,5) signs align
+    (c3 < 0 < c2^2) the cross-term peels off 4*min(c2^2, |c3|)*(1-kappa)
+    times lam^3 (1-lam)^3 x1^3 x2^5, and the mirrored (5,3) component
+    contributes the same with x-powers swapped.  The gain uses the upper
+    kappa endpoint, so the bound l1^3 - gain stays valid for enclosed kappa.
     """
-    ups = upsilon_l1(lam, x1, x2, N=N)
-    l1c = ups.value ** 3
-    c2sq_p, c3_p = _component_factors(False)
-    c2sq = c2sq_p(lam)
-    c3 = c3_p(lam)
+    value, _, _, _, ok = _upsilon(t, x1, x2)
     one_minus_kappa = 1.0 - float(cls.kappa_hi)
-    gain = 0.0
-    aligned = c3 < 0.0 < c2sq
+    aligned = (t.c3 < 0.0) & (0.0 < t.c2sq)
+    unit = 4.0 * np.minimum(t.c2sq, -t.c3) * one_minus_kappa * t.pref3
+    gain = np.where(aligned & (one_minus_kappa > 0.0),
+                    unit * (x1 ** 3 * x2 ** 5 + x1 ** 5 * x2 ** 3), 0.0)
+    return value, _pow(value, 3), gain, ok, aligned
+
+
+def bch_gain_upper(lam: float, cls: ConvexityClass, x1: float,
+                   x2: float) -> GainReport:
+    """Upper bound on the universal norm of Ups^3 at one (lam, x1, x2)."""
+    t = _lam_table([lam])
+    value, l1c, gain, ok, aligned = (v[0] for v in _cube_bound(t, cls, x1, x2))
     diagnostic = None
-    if aligned and one_minus_kappa > 0.0:
-        unit = 4.0 * min(c2sq, -c3) * one_minus_kappa * (lam * (1.0 - lam)) ** 3
-        gain = unit * (x1 ** 3 * x2 ** 5 + x1 ** 5 * x2 ** 3)
-    elif not aligned:
-        diagnostic = ("cross-term sign alignment fails: c2^2 = 0" if c2sq == 0.0
-                      else f"cross-term sign alignment fails: c3 = {c3:g} >= 0")
-    return GainReport(lam=lam, x=(x1, x2), l1=ups.value, l1_cubed=l1c,
-                      gain=gain, bound=l1c - gain, aligned=aligned,
-                      conclusive=ups.conclusive, diagnostic=diagnostic)
+    if not aligned:
+        diagnostic = ("cross-term sign alignment fails: c2^2 = 0"
+                      if t.c2sq[0] == 0.0 else
+                      f"cross-term sign alignment fails: c3 = {t.c3[0]:g} >= 0")
+    return GainReport(lam=lam, x=(x1, x2), l1=float(value),
+                      l1_cubed=float(l1c), gain=float(gain),
+                      bound=float(l1c - gain), aligned=bool(aligned),
+                      conclusive=bool(ok), diagnostic=diagnostic)
 
 
-def max_upsilon_l1(x1: float, x2: float, N: int = 24,
-                   grid: int = 1001) -> tuple:
+def max_upsilon_l1(x1: float, x2: float) -> tuple:
     """(max over lam of upsilon_l1, argmax lam), grid plus bounded refinement."""
-    lams = np.linspace(0.0, 0.5, grid)
-    vals = [upsilon_l1(l, x1, x2, N=N).value for l in lams]
-    i = int(np.argmax(vals))
-    lo, hi = lams[max(i - 1, 0)], lams[min(i + 1, grid - 1)]
-    res = minimize_scalar(lambda l: -upsilon_l1(float(l), x1, x2, N=N).value,
-                          bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-10})
-    if -res.fun >= vals[i]:
-        return -res.fun, float(res.x)
-    return vals[i], float(lams[i])
+    vals = _upsilon(_grid_table(), x1, x2)[0]
+    return refine_max(lambda l: upsilon_l1(float(l), x1, x2).value,
+                      _LAM_GRID, vals)
 
 
-@lru_cache(maxsize=8)
-def _grid_data(N: int, lam_grid: int) -> tuple:
-    """Vectorized lam-grid tables for the threshold scan."""
-    lams = np.linspace(0.0, 0.5, lam_grid)
-    c = resolvent_series(N)
-    A = np.array([[abs(cn(float(l))) for l in lams] for cn in c])
-    c2sq_p, c3_p = _component_factors(False)
-    c2v = np.array([c2sq_p(float(l)) for l in lams])
-    c3v = np.array([c3_p(float(l)) for l in lams])
-    pref = lams * (1.0 - lams)
-    return lams, A, c2v, c3v, pref
-
-
-def _bounds_on_grid(s: float, cls: ConvexityClass, N: int,
-                    lam_grid: int) -> tuple:
-    """(lams, |Ups^3| upper bounds over the grid) at x1 = x2 = s/2."""
-    lams, A, c2v, c3v, pref = _grid_data(N, lam_grid)
-    x = s / 2.0
-    T = A * (x ** np.arange(A.shape[0]))[:, None]
-    head = T[1:].sum(axis=0)
-    w = min(_TAIL_WINDOW, A.shape[0] - 3)
-    Nn = A.shape[0] - 1
-    t_hi = np.maximum(T[Nn - 1], T[Nn])
-    t_lo = np.maximum(T[Nn - 1 - w], T[Nn - w])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho = (t_hi / t_lo) ** (1.0 / w)
-    tail = np.where((t_lo > 0) & (rho < 1.0),
-                    (T[Nn - 1] + T[Nn]) * rho / (1.0 - rho), np.inf)
-    tail = np.where(t_hi == 0.0, 0.0, tail)
-    u = head + tail
-    l1c = (pref * u * u) ** 3
-    one_minus_kappa = 1.0 - float(cls.kappa_hi)
-    unit = 4.0 * np.minimum(c2v, -c3v) * one_minus_kappa * pref ** 3
-    gain = np.where((c3v < 0.0) & (c2v > 0.0), unit * 2.0 * x ** 8, 0.0)
-    return lams, l1c - gain
-
-
-def _sup_bound_cubed_root(s: float, cls: ConvexityClass, N: int,
-                          lam_grid: int) -> float:
-    """sup over lam of bch_gain_upper(...)^(1/3) at x1 = x2 = s/2."""
-    x = s / 2.0
-    lams, vals = _bounds_on_grid(s, cls, N, lam_grid)
-    i = int(np.argmax(vals))
-    sup = vals[i]
-    # refine only near the threshold, where the decision is sensitive
-    if abs(sup ** (1.0 / 3.0) - 1.0) < 1e-4:
-        lo = lams[max(i - 1, 0)]
-        hi = lams[min(i + 1, len(lams) - 1)]
-        res = minimize_scalar(
-            lambda l: -bch_gain_upper(float(l), cls, x, x, N=N).bound,
-            bounds=(lo, hi), method="bounded", options={"xatol": 1e-10})
-        sup = max(sup, -res.fun)
-    return sup ** (1.0 / 3.0) if sup >= 0 else 0.0
+#: the scanned s range and step of the C2 threshold scan
+_S_LO, _S_HI, _S_STEP = 2.885, 2.925, 2.5e-4
 
 
 @dataclass
@@ -317,24 +299,30 @@ class C2ScanResult:
     sup_at_value: float
 
 
-def c2_improved(cls: ConvexityClass, s_lo: float = 2.885, s_hi: float = 2.925,
-                s_step: float = 2.5e-4, lam_grid: int = 1001,
-                N: int = 24) -> C2ScanResult:
-    """Largest scanned s with sup over lam of the Ups^3 bound below 1.
+def c2_improved(cls: ConvexityClass) -> C2ScanResult:
+    """Largest scanned s with sup over lam of the Ups^3 bound below 1, at
+    x1 = x2 = s/2 and in cube-root form.
 
     With the plain class the gain vanishes and this reproduces the C2
     threshold to grid resolution; with a genuine cross cost the threshold
     moves strictly past C2.
     """
-    best = None
-    best_sup = None
-    s = s_lo
-    while s <= s_hi + 1e-12:
-        sup = _sup_bound_cubed_root(s, cls, N, lam_grid)
-        if sup < 1.0 and (best is None or s > best):
-            best, best_sup = s, sup
-        s += s_step
+    best = best_sup = None
+    s = _S_LO
+    while s <= _S_HI + 1e-12:
+        x = s / 2.0
+        _, l1c, gain, _, _ = _cube_bound(_grid_table(), cls, x, x)
+        vals = l1c - gain
+        sup = vals.max()
+        # refine only near the threshold, where the decision is sensitive
+        if abs(sup ** (1.0 / 3.0) - 1.0) < 1e-4:
+            sup, _ = refine_max(lambda l: bch_gain_upper(float(l), cls, x, x).bound,
+                                _LAM_GRID, vals)
+        root = sup ** (1.0 / 3.0) if sup >= 0 else 0.0
+        if root < 1.0:
+            best, best_sup = s, root
+        s += _S_STEP
     if best is None:
-        raise RuntimeError("no scanned s had sup below 1; widen the range")
-    return C2ScanResult(value=best, margin=best - C2_REFERENCE, s_step=s_step,
-                        lam_grid=lam_grid, sup_at_value=best_sup)
+        raise RuntimeError("no scanned s had sup below 1")
+    return C2ScanResult(value=best, margin=best - C2_REFERENCE, s_step=_S_STEP,
+                        lam_grid=_LAM_GRID.size, sup_at_value=best_sup)

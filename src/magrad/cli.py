@@ -28,6 +28,13 @@ def _parse_fraction(s: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {s!r}") from exc
 
 
+def _parse_lambda(s: str) -> Fraction:
+    lam = _parse_fraction(s)
+    if not 0 <= lam <= 1:
+        raise argparse.ArgumentTypeError(f"lambda must lie in [0, 1]: {s!r}")
+    return lam
+
+
 def _parse_class(s: str) -> ConvexityClass:
     if s in ("plain", "inf", "ell1"):
         return PLAIN
@@ -129,38 +136,38 @@ def cmd_radius(args) -> int:
     return 0
 
 
+def _closed_form(args):
+    lam = float(args.lam)
+    return magnus.BoundReport(
+        method="closed-form", q="plain", lam=lam, lower=magnus.c_plain(lam),
+        upper=magnus.c_eps(lam),
+        details={"note": "lower=plain closed form, upper=entire-resolvent form"})
+
+
+def _ode(args):
+    corr = [(4, args.gap4)] if args.gap4 else []
+    return magnus.BoundReport(
+        method="ode", q=args.q.describe(), lam=float(args.lam),
+        lower=magnus.ode_blowup(float(args.lam), corr),
+        details={"corrections": corr})
+
+
+#: `bound --method` name -> builder of its BoundReport from the parsed args
+BOUND_METHODS = {
+    "closed-form": _closed_form,
+    "pth-root": lambda a: magnus.c_bound_pth_root(a.lam, a.p, a.q, tol=a.tol),
+    "log": lambda a: magnus.c_log_bound(a.p, a.q, grid=a.grid, radius_tol=a.tol),
+    "ode": _ode,
+    "crude-ratio": lambda a: magnus.crude_ratio_bound(a.lam, a.p, a.q),
+    "trivial-upper": lambda a: magnus.upper_trivial(
+        a.q, a.variant, a.lam if a.variant == "magnus" else None),
+    "sicompar": lambda a: magnus.sicompar_bound(a.lam, a.p, a.q),
+    "ricompar": lambda a: magnus.ricompar_bound(a.lam, a.p, a.q),
+}
+
+
 def cmd_bound(args) -> int:
-    method = args.method
-    cls, lam, p = args.q, args.lam, args.p
-    if method == "closed-form":
-        rep = magnus.BoundReport(method=method, q="plain", lam=float(lam),
-                                 lower=magnus.c_plain(float(lam)),
-                                 upper=magnus.c_eps(float(lam)),
-                                 details={"note": "lower=plain closed form, "
-                                                  "upper=entire-resolvent form"})
-    elif method == "pth-root":
-        rep = magnus.c_bound_pth_root(lam, p, cls, tol=args.tol)
-    elif method == "log":
-        rep = magnus.c_log_bound(p, cls, grid=args.grid, radius_tol=args.tol)
-    elif method == "ode":
-        corr = [(4, args.gap4)] if args.gap4 else []
-        rep = magnus.BoundReport(method=method, q=cls.describe(),
-                                 lam=float(lam),
-                                 lower=magnus.ode_blowup(float(lam), corr),
-                                 details={"corrections": corr})
-    elif method == "crude-ratio":
-        rep = magnus.crude_ratio_bound(lam, p, cls)
-    elif method == "trivial-upper":
-        rep = magnus.upper_trivial(cls, args.variant,
-                                   lam if args.variant == "magnus" else None)
-    elif method == "sicompar":
-        rep = magnus.sicompar_bound(lam, p, cls)
-    elif method == "ricompar":
-        rep = magnus.ricompar_bound(lam, p, cls)
-    else:
-        print(f"unknown method {method}", file=sys.stderr)
-        return 2
-    _emit(rep.to_jsonable(), args)
+    _emit(BOUND_METHODS[args.method](args).to_jsonable(), args)
     return 0
 
 
@@ -224,7 +231,7 @@ def cmd_verify(args) -> int:
 def _add_common(sp, *, lam="1/2", q="plain", p=5, n=2048, tol=1e-8):
     sp.add_argument("--q", type=_parse_class, default=_parse_class(q),
                     help="convexity exponent q (rational), or 'plain'")
-    sp.add_argument("--lambda", dest="lam", type=_parse_fraction,
+    sp.add_argument("--lambda", dest="lam", type=_parse_lambda,
                     default=Fraction(lam), help="resolvent parameter in [0,1]")
     sp.add_argument("--p", type=int, default=p, help="root order")
     sp.add_argument("--n", type=int, default=n, help="grid size")
@@ -270,10 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bound", help="radius bounds by method")
     _add_common(sp)
-    sp.add_argument("--method", required=True,
-                    choices=("closed-form", "pth-root", "log", "ode",
-                             "crude-ratio", "trivial-upper", "sicompar",
-                             "ricompar"))
+    sp.add_argument("--method", required=True, choices=tuple(BOUND_METHODS))
     sp.add_argument("--grid", type=int, default=101)
     sp.add_argument("--variant", choices=("cayley", "magnus"),
                     default="cayley")

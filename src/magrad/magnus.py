@@ -15,9 +15,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import minimize_scalar
 
 from .kernels import plain_reduced_kernel, reduced_kernel
+from .series import refine_max
 from .specrad import convolution_radius, radius_refined
 from .umqnorm import ConvexityClass
 
@@ -174,13 +174,7 @@ def c_log_bound(p: int, cls: ConvexityClass, grid: int = 101,
 
     lams = [Fraction(k, 2 * (grid - 1)) for k in range(grid)]
     ws = [_kernel_radius(p - 1, l, cls, tol=radius_tol) for l in lams]
-    i = int(np.argmax(ws))
-    lo = float(lams[max(i - 1, 0)])
-    hi = float(lams[min(i + 1, grid - 1)])
-    res = minimize_scalar(lambda x: -w_of(x), bounds=(lo, hi), method="bounded",
-                          options={"xatol": lam_tol})
-    w_max = max(-res.fun, ws[i])
-    lam_star = float(res.x) if -res.fun >= ws[i] else float(lams[i])
+    w_max, lam_star = refine_max(w_of, lams, ws, xatol=lam_tol)
     return BoundReport(
         method="log-kernel", q=cls.describe(), p=p,
         lower=(1.0 / w_max) ** (1.0 / p),
@@ -200,12 +194,8 @@ def kernel_ratio_sup(p_minus_1: int, lam, cls: ConvexityClass,
     nv = np.array([float(num(t)) for t in ts])
     dv = np.array([float(den(t)) for t in ts])
     ratios = np.where(dv > 0, nv / np.where(dv > 0, dv, 1.0), 0.0)
-    i = int(np.argmax(ratios))
-    f = lambda t: -(float(num(t)) / float(den(t)))
-    res = minimize_scalar(f, bounds=(ts[max(i - 1, 0)], ts[min(i + 1, t_grid - 1)]),
-                          method="bounded", options={"xatol": 1e-10})
-    return {"sup": max(float(ratios[i]), -res.fun), "grid": t_grid,
-            "arg_t": float(res.x)}
+    sup, arg_t = refine_max(lambda t: float(num(t)) / float(den(t)), ts, ratios)
+    return {"sup": float(sup), "grid": t_grid, "arg_t": arg_t}
 
 
 def crude_ratio_bound(lam, p: int, cls: ConvexityClass,

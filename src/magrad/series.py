@@ -1,15 +1,19 @@
-"""Small exact helpers shared by the polynomial, kernel and series code.
+"""Small helpers shared by the polynomial, kernel, series and bound code.
 
 Series are plain lists indexed by power, length N+1 for truncation order N,
 with Fraction or `LambdaPoly` coefficients.  Division requires an invertible
-constant term.  Also here: the one Horner evaluator and the compositions of
-an integer, in the lexicographic order that fixes LP column order.
+constant term.  Also here: the one Horner evaluator, the compositions of
+an integer, in the lexicographic order that fixes LP column order, and the
+one grid-then-Brent maximizer behind every sup over lam or t.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+
+import numpy as np
+from scipy.optimize import minimize_scalar
 
 
 def horner(coeffs, x):
@@ -19,6 +23,19 @@ def horner(coeffs, x):
     for c in reversed(coeffs):
         acc = acc * x + (c if isinstance(x, Fraction) else float(c))
     return acc
+
+
+def refine_max(f, xs, vals, xatol: float = 1e-10) -> tuple:
+    """(max, argmax) of f: the largest of the grid values vals = f(xs), then
+    bounded Brent between its two neighbours; the better value wins, with
+    the argument where it was reached (Brent's on a tie)."""
+    i = int(np.argmax(vals))
+    lo, hi = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, len(xs) - 1)])
+    res = minimize_scalar(lambda t: -f(t), bounds=(lo, hi), method="bounded",
+                          options={"xatol": xatol})
+    if -res.fun >= vals[i]:
+        return -res.fun, float(res.x)
+    return vals[i], float(xs[i])
 
 
 def compositions(total: int, parts: int):

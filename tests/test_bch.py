@@ -6,6 +6,7 @@ from math import factorial
 
 import pytest
 
+from magrad import bch
 from magrad.bch import (
     C2_REFERENCE,
     bch_gain_upper,
@@ -22,6 +23,7 @@ from magrad.umqnorm import PLAIN, ConvexityClass, fa_norm_upper
 
 Q1 = ConvexityClass.from_q(1)
 Q2 = ConvexityClass.from_q(2)
+CLASSES = {"plain": PLAIN, "q1": Q1, "q2": Q2}
 
 
 def exact_abs_sum(lam: Fraction, x: Fraction, N: int) -> Fraction:
@@ -80,6 +82,16 @@ class TestUpsilonL1:
             upsilon_l1(0.5, math.pi, 1.0)
         with pytest.raises(ValueError):
             upsilon_l1(1.5, 1.0, 1.0)
+
+    def test_domain_checks_on_every_entry_point(self):
+        for call in (lambda: bch_gain_upper(1.5, Q1, 1.0, 1.0),
+                     lambda: bch_gain_upper(0.5, Q1, 1.0, math.pi),
+                     lambda: bch_gain_upper(-0.1, Q1, 1.0, 1.0),
+                     lambda: upsilon_l1(0.5, -0.1, 1.0),
+                     lambda: max_upsilon_l1(math.pi, 1.0),
+                     lambda: max_upsilon_l1(1.0, -0.1)):
+            with pytest.raises(ValueError):
+                call()
 
     def test_peak_at_known_radius(self):
         mx, arg = max_upsilon_l1(C2_REFERENCE / 2, C2_REFERENCE / 2)
@@ -191,3 +203,59 @@ class TestC2Scan:
         # frozen thresholds from the default scan
         assert r1.value == pytest.approx(2.904000, abs=1e-6)
         assert r2.value == pytest.approx(2.901750, abs=1e-6)
+
+
+class TestPinnedBits:
+    """Exact floats (float.hex) recorded from the per-point scalar evaluation.
+
+    Any change to the series, tail or gain arithmetic that moves a last bit
+    fails here; `--l1 --gain` and `--critical-lambda` print these numbers.
+    """
+
+    # (lam, x1, x2, class, upsilon_l1 value, bch_gain_upper bound)
+    POINTS = [
+        (0.0, 1.0, 1.0, "q1", "0x0.0p+0", "0x0.0p+0"),
+        (0.1, 2.5, 0.7, "q1", "0x1.49629377bd92bp-1", "0x1.10a5cd0e3a1ffp-2"),
+        (0.3587, 1.449, 1.449, "q2", "0x1.ffbb2f940a55ep-1",
+         "0x1.f98729d4df551p-1"),
+        (0.3587, 3.04, 2.9, "q1", "0x1.9d26757dd44d3p+7",
+         "0x1.0d04fef48a334p+23"),
+        (0.5, 3.04, 3.04, "q1", "0x1.9d963f5f4f211p+9",
+         "0x1.0ddfa4c78227dp+29"),
+        (0.805, 0.3, 3.04, "q2", "0x1.08bee09f14100p+0",
+         "0x1.1b24b3dbed69ep+0"),
+        (1.0, 2.0, 1.5, "plain", "inf", "inf"),
+    ]
+    # class -> (c2_improved value, sup_at_value)
+    C2 = {
+        "plain": ("0x1.72f9db22d0e45p+1", "0x1.ffdf09e99babbp-1"),
+        "q1": ("0x1.73b645a1cabf0p+1", "0x1.ffe43cf0df516p-1"),
+        "q2": ("0x1.736c8b43957fbp+1", "0x1.fff37ce09811bp-1"),
+    }
+
+    @pytest.mark.parametrize("lam,x1,x2,q,value,bound", POINTS)
+    def test_point_values(self, lam, x1, x2, q, value, bound):
+        assert upsilon_l1(lam, x1, x2).value == float.fromhex(value)
+        assert bch_gain_upper(lam, CLASSES[q], x1, x2).bound \
+            == float.fromhex(bound)
+
+    def test_critical_lambda(self):
+        mx, arg = max_upsilon_l1(C2_REFERENCE / 2, C2_REFERENCE / 2)
+        assert (mx, arg) == (float.fromhex("0x1.0000002b44d0ep+0"),
+                             float.fromhex("0x1.6f43518509578p-2"))
+
+    @pytest.mark.parametrize("q", sorted(C2))
+    def test_c2_scan(self, q):
+        r = c2_improved(CLASSES[q])
+        value, sup = self.C2[q]
+        assert (r.value, r.sup_at_value) == (float.fromhex(value),
+                                             float.fromhex(sup))
+
+    @pytest.mark.parametrize("x", [0.5, C2_REFERENCE / 2, 3.04])
+    def test_grid_columns_equal_point_evaluations(self, x):
+        table = bch._grid_table()
+        value, l1c, gain, _, _ = bch._cube_bound(table, Q1, x, x)
+        for i in (0, 1, 300, 717, 1000):
+            lam = float(bch._LAM_GRID[i])
+            assert value[i] == upsilon_l1(lam, x, x).value
+            assert l1c[i] - gain[i] == bch_gain_upper(lam, Q1, x, x).bound

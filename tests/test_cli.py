@@ -113,6 +113,26 @@ class TestBound:
         assert exc.value.code == 2
 
 
+class TestLambdaRange:
+    @pytest.mark.parametrize("argv", [
+        ("kernel", "--p-minus-1", "2", "--q", "plain"),
+        ("bound", "--method", "pth-root", "--p", "3"),
+    ])
+    @pytest.mark.parametrize("lam", ["3/2", "-1/5"])
+    def test_lambda_outside_unit_interval_is_usage_error(self, capsys, argv,
+                                                         lam):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"--lambda={lam}"])
+        assert exc.value.code == 2
+        assert "lambda must lie in [0, 1]" in capsys.readouterr().err
+
+    def test_endpoints_accepted(self, capsys):
+        for lam in ("0", "1"):
+            code, out = run(capsys, "kernel", "--p-minus-1", "2",
+                            "--q", "plain", "--lambda", lam)
+            assert code == 0 and json.loads(out)["lam"] == lam
+
+
 class TestDeterminism:
     def test_byte_identical_json(self, capsys):
         args = ("bound", "--method", "pth-root", "--lambda", "2/5",

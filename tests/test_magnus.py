@@ -7,9 +7,11 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import magrad
+from magrad.kernels import plain_reduced_kernel, reduced_kernel
 from magrad.magnus import (
     BoundReport,
     c_bound_pth_root,
@@ -28,6 +30,7 @@ from magrad.magnus import (
     upper_trivial,
     w_plain,
 )
+from magrad.series import refine_max
 from magrad.umqnorm import PLAIN, ConvexityClass
 
 Q1 = ConvexityClass.from_q(1)
@@ -158,6 +161,14 @@ class TestCrudeRoutes:
         info = kernel_ratio_sup(4, Fraction(1, 2), Q1)
         assert info["sup"] == pytest.approx(5 / 6, rel=1e-12)
 
+    def test_ratio_sup_reached_at_arg_t(self):
+        # at lam = 2/5, q = 2, p-1 = 2 the grid node beats Brent's point
+        lam = Fraction(2, 5)
+        info = kernel_ratio_sup(2, lam, Q2)
+        t = info["arg_t"]
+        num, den = reduced_kernel(2, lam, Q2), plain_reduced_kernel(2, lam)
+        assert float(num(t)) / float(den(t)) == info["sup"]
+
     def test_maglower_floor_values(self):
         assert trunc3(maglower_floor(Q2)) == 2.030
         assert trunc3(maglower_floor(Q1)) == 2.054
@@ -222,3 +233,19 @@ class TestScan:
         res = subprocess.run([sys.executable, "-O", "-c", child], env=env,
                              capture_output=True, text=True, timeout=120)
         assert res.returncode == 0, res.stderr
+
+
+class TestRefineMax:
+    def test_grid_node_wins_over_brent(self):
+        # a spike far narrower than Brent's tolerance sits on one grid node
+        xs = np.linspace(0.0, 1.0, 11)
+        f = lambda t: 1.0 - t * t + (5.0 if abs(t - 0.3) < 1e-13 else 0.0)
+        vals = np.array([f(t) for t in xs])
+        assert refine_max(f, xs, vals) == (vals[3], float(xs[3]))
+
+    def test_brent_refines_between_nodes(self):
+        xs = np.linspace(0.0, 1.0, 11)
+        f = lambda t: -(t - 0.3141) ** 2
+        sup, arg = refine_max(f, xs, np.array([f(t) for t in xs]))
+        assert arg == pytest.approx(0.3141, abs=1e-8)
+        assert sup == f(arg) and sup > f(0.3)
