@@ -5,14 +5,24 @@ Words are tuples of 1-based generator indices; coefficients are either
 ``lam`` with exact rational coefficients).  The permutation sums built here
 weight each monomial ``Y_{s(1)}...Y_{s(m)}`` by ``lam^asc * (lam-1)^des``,
 where the ascent/descent counts may include half-integer boundary markers.
+
+The ell^1 norm of such a sum at a rational lam needs no per-lam polynomial:
+every coefficient is lam^j * (lam-1)^(n-j) with n the number of
+transitions, so the norm is sum_j N(j) |lam|^j |lam-1|^(n-j), where N(j)
+counts the permutations with j ascents.  `perm_sum_l1` takes N from one
+lam-independent table per degree k, counting the s in S_k by first letter
+s(1) and ascents of s.  The table serves every marker a+1/2: the marker
+transition is an ascent exactly when s(1) > a.  Each new lam then costs O(k)
+exact operations instead of k! polynomial evaluations.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .series import horner
 
@@ -322,6 +332,42 @@ def mu_abc(a: int, b: int, c: int, max_degree: int = DEFAULT_MAX_DEGREE) -> NCPo
         raise DegreeError("a, b, c must be nonnegative")
     return _perm_sum(a + b + c, max_degree, head=(Fraction(2 * a + 1, 2),),
                      tail=(Fraction(2 * (a + b) + 1, 2),))
+
+
+@lru_cache(maxsize=None)
+def _ascent_table(k: int) -> tuple:
+    """Row f-1 counts the s in S_k with s(1) = f by their ascents 0..k-1."""
+    table = [[0] * k for _ in range(k)]
+    for s in permutations(range(1, k + 1)):
+        table[s[0] - 1][_asc_des(s)[0]] += 1
+    return tuple(map(tuple, table))
+
+
+def _ascent_counts(k: int, a: Optional[int]) -> list[int]:
+    """N(j), j = 0..n: words of mu_lambda(k) (a None, n = k-1) or of
+    mu_ab(a, k-a) (n = k) whose weight is lam^j * (lam-1)^(n-j)."""
+    counts = [0] * (k if a is None else k + 1)
+    for f, row in enumerate(_ascent_table(k), start=1):
+        shift = a is not None and f > a     # the marker a+1/2 ascends to f
+        for j, c in enumerate(row):
+            counts[j + shift] += c
+    return counts
+
+
+def perm_sum_l1(k: int, lam, a: Optional[int] = None) -> Fraction:
+    """Exact ell^1 norm of mu_lambda(k) (a None) or mu_ab(a, k-a) at lam.
+
+    Equals l1_norm(eval_lambda(mu, lam)) without building the k! words.
+    """
+    if a is not None and not 0 <= a <= k:
+        raise DegreeError("a, b must be nonnegative")
+    _check_degree(k, DEFAULT_MAX_DEGREE)
+    lam = _as_fraction(lam)
+    x, y = abs(lam), abs(lam - 1)
+    counts = _ascent_counts(k, a)
+    n = len(counts) - 1
+    return sum((c * x ** j * y ** (n - j) for j, c in enumerate(counts)),
+               Fraction(0))
 
 
 def integrate_lambda(poly: NCPoly) -> NCPoly:

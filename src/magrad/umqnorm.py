@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Optional, Sequence
 
-from .freealg import NCPoly, Word, eval_lambda, l1_norm, mu_ab, mu_lambda
+from .freealg import NCPoly, Word, eval_lambda, mu_ab, mu_lambda, perm_sum_l1
 from .series import compositions
 from .simplex import simplex_min, verify_certificate
 
@@ -495,10 +495,10 @@ def theta_ab(a: int, b: int, lam: Fraction, cls: ConvexityClass) -> NormValue:
     """
     lam = Fraction(lam)
     p1 = a + b
-    poly = eval_lambda(mu_ab(a, b), lam)
     if cls.is_plain:
-        v = l1_norm(poly) / factorial(p1)
+        v = perm_sum_l1(p1, lam, a) / factorial(p1)
         return NormValue(v, v)
+    poly = eval_lambda(mu_ab(a, b), lam)
     return fa_norm_exact(poly, cls).scale(Fraction(1, factorial(p1)))
 
 
@@ -506,8 +506,8 @@ def theta_ab(a: int, b: int, lam: Fraction, cls: ConvexityClass) -> NormValue:
 def theta_k(k: int, lam: Fraction, cls: ConvexityClass) -> NormValue:
     """Norm of the unmarked permutation sum over S_k, divided by k!."""
     lam = Fraction(lam)
-    poly = eval_lambda(mu_lambda(k), lam)
     if cls.is_plain:
-        v = l1_norm(poly) / factorial(k)
+        v = perm_sum_l1(k, lam) / factorial(k)
         return NormValue(v, v)
+    poly = eval_lambda(mu_lambda(k), lam)
     return fa_norm_exact(poly, cls).scale(Fraction(1, factorial(k)))

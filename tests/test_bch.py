@@ -57,6 +57,12 @@ class TestResolventSeries:
         with pytest.raises(ValueError):
             resolvent_series(41)
 
+    def test_abs_coefficients_mirror_exactly(self):
+        # |c_n(1-lam)| = |c_n(lam)|, which lets bch evaluate at min(lam, 1-lam)
+        for n, cn in enumerate(resolvent_series(bch._N)):
+            mirrored = cn.compose_affine(1, -1)
+            assert mirrored in (cn, -cn), n
+
 
 class TestUpsilonL1:
     def test_zero_at_origin(self):
@@ -76,6 +82,20 @@ class TestUpsilonL1:
             a = upsilon_l1(lam, 1.2, 0.7).value
             b = upsilon_l1(1.0 - lam, 0.7, 1.2).value
             assert a == pytest.approx(b, rel=1e-12)
+
+    @pytest.mark.parametrize("lam", [0.5, 0.6, 0.805, 0.9, 0.99, 1.0])
+    def test_mirror_is_bit_identical(self, lam):
+        # 1 - lam is exact for lam >= 1/2, so both calls see the same floats
+        for x1, x2 in ((1.2, 0.7), (0.3, 3.04), (2.0, 1.5)):
+            a, b = upsilon_l1(lam, x1, x2), upsilon_l1(1.0 - lam, x1, x2)
+            assert (a.value, a.head, a.tail1, a.tail2, a.conclusive) \
+                == (b.value, b.head, b.tail1, b.tail2, b.conclusive)
+            ga, gb = (bch_gain_upper(l, Q2, x1, x2) for l in (lam, 1.0 - lam))
+            assert (ga.bound, ga.gain, ga.aligned) == (gb.bound, gb.gain, gb.aligned)
+
+    def test_conclusive_zero_at_lam_one(self):
+        got = upsilon_l1(1.0, 2.0, 1.5)
+        assert got.conclusive and got.value == 0.0
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):
@@ -210,6 +230,7 @@ class TestPinnedBits:
 
     Any change to the series, tail or gain arithmetic that moves a last bit
     fails here; `--l1 --gain` and `--critical-lambda` print these numbers.
+    The rows at lam = 0.805 and 1 pin the evaluation at mu = min(lam, 1-lam).
     """
 
     # (lam, x1, x2, class, upsilon_l1 value, bch_gain_upper bound)
@@ -222,9 +243,9 @@ class TestPinnedBits:
          "0x1.0d04fef48a334p+23"),
         (0.5, 3.04, 3.04, "q1", "0x1.9d963f5f4f211p+9",
          "0x1.0ddfa4c78227dp+29"),
-        (0.805, 0.3, 3.04, "q2", "0x1.08bee09f14100p+0",
-         "0x1.1b24b3dbed69ep+0"),
-        (1.0, 2.0, 1.5, "plain", "inf", "inf"),
+        (0.805, 0.3, 3.04, "q2", "0x1.090b45233417fp+0",
+         "0x1.1c1a153c1fc20p+0"),
+        (1.0, 2.0, 1.5, "plain", "0x0.0p+0", "0x0.0p+0"),
     ]
     # class -> (c2_improved value, sup_at_value)
     C2 = {

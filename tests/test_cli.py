@@ -73,10 +73,11 @@ class TestKernelRadius:
 
     def test_degree_caps_come_from_theta_sources(self, capsys):
         # plain Theta reaches degree 8; LP-backed classes stop at degree 5
-        code, out = run(capsys, "kernel", "--p-minus-1", "6",
-                        "--lambda", "2/7", "--q", "plain")
-        want = plain_reduced_kernel(6, Fraction(2, 7)).coeffs
-        assert code == 0 and json.loads(out)["coeffs"] == [str(c) for c in want]
+        for p_minus_1 in (6, 8):
+            code, out = run(capsys, "kernel", "--p-minus-1", str(p_minus_1),
+                            "--lambda", "2/7", "--q", "plain")
+            want = plain_reduced_kernel(p_minus_1, Fraction(2, 7)).coeffs
+            assert code == 0 and json.loads(out)["coeffs"] == [str(c) for c in want]
         assert main(["kernel", "--p-minus-1", "6", "--q", "1"]) == 2
 
     def test_radius_json(self, capsys):

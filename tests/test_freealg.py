@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from magrad.freealg import (
     mu_ab,
     mu_abc,
     mu_lambda,
+    _ascent_counts,
 )
 
 
@@ -142,6 +144,25 @@ class TestMuAB:
         assert p.coeff((2, 1, 4, 3)) == lam ** 2 * (1 - lam) ** 2
         assert p.coeff((1, 2, 4, 3)) == -(lam ** 3) * (1 - lam)
         assert p.coeff((4, 3, 2, 1)) == -lam * (1 - lam) ** 3
+
+
+class TestAscentCounts:
+    EULERIAN_8 = [1, 247, 4293, 15619, 15619, 4293, 247, 1]
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_counts_cover_every_word(self, k):
+        assert sum(_ascent_counts(k, None)) == factorial(k)
+        for a in range(k + 1):
+            counts = _ascent_counts(k, a)
+            assert sum(counts) == factorial(k) and len(counts) == k + 1
+            # reversal: Theta_ab(lam) = Theta_ba(1 - lam)
+            assert counts == _ascent_counts(k, k - a)[::-1]
+
+    def test_eulerian_numbers_and_outer_markers(self):
+        assert _ascent_counts(8, None) == self.EULERIAN_8
+        # marker 1/2 ascends into every word, marker 8 + 1/2 descends
+        assert _ascent_counts(8, 0) == [0] + self.EULERIAN_8
+        assert _ascent_counts(8, 8) == self.EULERIAN_8 + [0]
 
 
 class TestMuABC:

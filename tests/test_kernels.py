@@ -53,6 +53,14 @@ class TestReducedKernel:
         for t, series in gt.items():
             assert rk(t) == series[4]
 
+    def test_plain_top_of_degree_cap(self):
+        # p-1 = 8: nine samples pin the degree-8 polynomial down exactly
+        lam = Fraction(2, 7)
+        rk = plain_reduced_kernel(8, lam)
+        for i in range(9):
+            t = Fraction(i, 8)
+            assert rk(t) == g_tilde_series(lam, t, 8)[8]
+
     @pytest.mark.parametrize("lam", [Fraction(1, 5), Fraction(1, 3)])
     def test_endpoint_identities(self, lam):
         # Ktilde(1) = lam * Theta_4 and Ktilde(0) = (1 - lam) * Theta_4

@@ -1,10 +1,11 @@
 """Quasi-monomial enumeration and the exact LP norm."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from magrad.freealg import NCPoly, eval_lambda, l1_norm, mu_ab, mu_lambda
+from magrad.freealg import DegreeError, NCPoly, eval_lambda, l1_norm, mu_ab, mu_lambda
 from magrad.umqnorm import (
     PLAIN,
     Column,
@@ -247,6 +248,25 @@ class TestTheta:
     def test_cap_propagates(self):
         with pytest.raises(ExhaustiveCapError):
             theta_ab(0, 6, HALF, Q1)
+
+    @pytest.mark.parametrize("lam", [
+        Fraction(0), Fraction(1), HALF, Fraction(2, 7), Fraction(5, 9),
+        Fraction(1006, 1009), Fraction(3, 2), Fraction(-1, 5)])
+    def test_plain_equals_l1_of_evaluated_sum(self, lam):
+        for k in range(1, 8):
+            want = l1_norm(eval_lambda(mu_lambda(k), lam)) / factorial(k)
+            assert theta_k(k, lam, PLAIN).value == want
+            for a in range(k + 1):
+                want = l1_norm(eval_lambda(mu_ab(a, k - a), lam)) / factorial(k)
+                assert theta_ab(a, k - a, lam, PLAIN).value == want
+
+    def test_plain_degree_errors(self):
+        for a, b in ((-1, 3), (3, -1), (0, 0), (0, 9)):
+            with pytest.raises(DegreeError):
+                theta_ab(a, b, HALF, PLAIN)
+        for k in (0, 9):
+            with pytest.raises(DegreeError):
+                theta_k(k, HALF, PLAIN)
 
     def test_degree4_formulas_seven_points_per_side(self):
         # the degree-4 norm polynomials are degree <= 5 in lam per side,
