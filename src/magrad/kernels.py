@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+import numpy as np
+
 from .series import factorial_fraction, horner, series_div, series_exp_linear
 from .umqnorm import PLAIN, ConvexityClass, theta_ab
 
@@ -60,8 +62,6 @@ class ReducedKernel:
 
     def max01(self) -> float:
         """Maximum over [0, 1] via the derivative's real roots."""
-        import numpy as np
-
         cs = [float(c) for c in self.coeffs]
         cand = [0.0, 1.0]
         if len(cs) > 1:
@@ -87,6 +87,11 @@ class TwoSidedKernel:
         return self.reduced.lam
 
     def __call__(self, t):
+        """K(t); a float ndarray t elementwise, bit for bit as the scalar
+        branches (Fraction * float is float(lam) * x: float(1 - lam) below)."""
+        if isinstance(t, np.ndarray):
+            return np.where(t >= 0, float(self.lam) * self.reduced(t),
+                            float(1 - self.lam) * self.reduced(t + 1))
         if t >= 0:          # t = 0 goes to the lam branch by convention
             return self.lam * self.reduced(t)
         return (1 - self.lam) * self.reduced(t + 1)

@@ -191,8 +191,7 @@ def kernel_ratio_sup(p_minus_1: int, lam, cls: ConvexityClass,
     num = reduced_kernel(p_minus_1, lamF, cls)
     den = plain_reduced_kernel(p_minus_1, lamF)
     ts = np.linspace(0.0, 1.0, t_grid)
-    nv = np.array([float(num(t)) for t in ts])
-    dv = np.array([float(den(t)) for t in ts])
+    nv, dv = num(ts), den(ts)
     ratios = np.where(dv > 0, nv / np.where(dv > 0, dv, 1.0), 0.0)
     sup, arg_t = refine_max(lambda t: float(num(t)) / float(den(t)), ts, ratios)
     return {"sup": float(sup), "grid": t_grid, "arg_t": arg_t}

@@ -18,7 +18,9 @@ from scipy.optimize import minimize_scalar
 
 def horner(coeffs, x):
     """Polynomial `coeffs` (lowest power first) at x: exact for a Fraction x,
-    else with the coefficients as floats."""
+    else with the coefficients as floats.  A float ndarray x is evaluated
+    elementwise, bit for bit as the scalar loop at each element (the same
+    IEEE multiply and add in the same order)."""
     acc = x * 0
     for c in reversed(coeffs):
         acc = acc * x + (c if isinstance(x, Fraction) else float(c))

@@ -78,12 +78,9 @@ def discretize(kernel: KernelLike, n: int) -> OperatorGrid:
         raise InvalidUseError("need n >= 2")
     nodes = (np.arange(n) + 0.5) / n
     if isinstance(kernel, TwoSidedKernel):
-        diffs_row = nodes - nodes[0]          # >= 0
-        diffs_col = nodes[0] - nodes          # <= 0
-        row = np.array([float(kernel(d)) for d in diffs_row]) / n
-        col = np.array([float(kernel(d)) for d in diffs_col]) / n
-        row = _clamp_roundoff(row)
-        col = _clamp_roundoff(col)
+        # one array call per Toeplitz vector; col[0] sits at t = 0
+        row = _clamp_roundoff(kernel(nodes - nodes[0]) / n)     # t >= 0
+        col = _clamp_roundoff(kernel(nodes[0] - nodes) / n)     # t <= 0
         vals = np.concatenate([col, row])
         return OperatorGrid(n=n, nodes=nodes, toeplitz=(col, row),
                             kernel_min=float(vals.min()) * n,
@@ -207,6 +204,9 @@ def radius_refined(kernel: KernelLike, tol: float = 1e-6, n0: int = 256,
     bracket midpoints assuming an error expansion in powers of 1/n (orders
     1, 2, 3 eliminated in turn).  Stops when two successive extrapolants
     agree within tol; sets a warning flag when the doubling budget runs out.
+    The result keeps the finest grid's bracket, brackets and iterations but
+    no eigenvector (`eigvec` is None): its radius is the extrapolant, not
+    that grid's eigenvalue.  Run `power_iteration_hopf` on a grid for one.
     """
     if inner_tol is None:
         inner_tol = tol * 1e-2
@@ -227,12 +227,11 @@ def radius_refined(kernel: KernelLike, tol: float = 1e-6, n0: int = 256,
         extrap = row[0]
         if last is not None and abs(extrap - last) <= tol:
             return RadiusResult(radius=extrap, bracket=result.bracket,
-                                iterations=result.iterations, eigvec=result.eigvec,
+                                iterations=result.iterations,
                                 converged=True, brackets=result.brackets, n=n)
         last = extrap
     return RadiusResult(radius=last, bracket=result.bracket,
-                        iterations=result.iterations, eigvec=result.eigvec,
-                        converged=False,
+                        iterations=result.iterations, converged=False,
                         warning="doubling budget exhausted before extrapolants settled",
                         brackets=result.brackets, n=result.n)
 

@@ -486,8 +486,13 @@ def fa_norm_upper(x: NCPoly, cls: ConvexityClass,
 # ---------------------------------------------------------------------------
 # normalized permutation-sum norms
 
+#: size of the theta_ab and theta_k caches, keyed by exact lam that float
+#: callers draw afresh: the q = 1 and q = 2 `c_log_bound(5)` of criterion 04
+#: fill 1060, so such scans stay cached for on-grid pointwise bounds after them
+THETA_CACHE_SIZE = 4096
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=THETA_CACHE_SIZE)
 def theta_ab(a: int, b: int, lam: Fraction, cls: ConvexityClass) -> NormValue:
     """Norm of the boundary-marked permutation sum, divided by (a+b)!.
 
@@ -502,7 +507,7 @@ def theta_ab(a: int, b: int, lam: Fraction, cls: ConvexityClass) -> NormValue:
     return fa_norm_exact(poly, cls).scale(Fraction(1, factorial(p1)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=THETA_CACHE_SIZE)
 def theta_k(k: int, lam: Fraction, cls: ConvexityClass) -> NormValue:
     """Norm of the unmarked permutation sum over S_k, divided by k!."""
     lam = Fraction(lam)

@@ -31,7 +31,7 @@ from magrad.magnus import (
     w_plain,
 )
 from magrad.series import refine_max
-from magrad.umqnorm import PLAIN, ConvexityClass
+from magrad.umqnorm import PLAIN, ConvexityClass, theta_ab
 
 Q1 = ConvexityClass.from_q(1)
 Q2 = ConvexityClass.from_q(2)
@@ -211,6 +211,15 @@ class TestScan:
         assert len(rows) == 11
         assert rows[-1][0] == 0.5
         assert lipschitz_logodds_check([(l, c) for l, _, c in rows])
+
+    def test_theta_cache_bounded_and_reused_on_grid(self):
+        assert theta_ab.cache_info().maxsize is not None
+        scan_rows(3, Q1, grid=11)                 # lam = k/20, exact q=1 LPs
+        before = theta_ab.cache_info()
+        c_bound_pth_root(Fraction(3, 20), 3, Q1)
+        after = theta_ab.cache_info()
+        assert after.misses == before.misses      # no LP solved again
+        assert after.hits == before.hits + 3
 
     def test_bound_report_invariant(self):
         with pytest.raises(AssertionError):

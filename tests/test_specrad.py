@@ -1,5 +1,6 @@
 """Nystrom grids, Hopf-bracketed power iteration, and the refined radius."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -18,9 +19,10 @@ from magrad.specrad import (
     power_iteration_hopf,
     radius_refined,
 )
-from magrad.umqnorm import ConvexityClass
+from magrad.umqnorm import PLAIN, ConvexityClass
 
 Q1 = ConvexityClass.from_q(1)
+CLASSES = {"plain": PLAIN, "1": Q1, "2": ConvexityClass.from_q(2)}
 
 
 class TestDiscretize:
@@ -44,6 +46,20 @@ class TestDiscretize:
     def test_needs_two_nodes(self):
         with pytest.raises(InvalidUseError):
             discretize(lambda s, t: 1.0, 1)
+
+    @pytest.mark.parametrize("q,pm1,lam", [
+        ("plain", 0, "1/7"), ("plain", 4, "1/7"), ("plain", 7, "2/7"),
+        ("plain", 3, "0"), ("1", 3, "1/7"), ("2", 3, "1/7")])
+    def test_array_sampling_matches_scalar_calls(self, q, pm1, lam):
+        # at lam = 1/7, float(1 - lam) and 1 - float(lam) differ in the last bit
+        rk = reduced_kernel(pm1, Fraction(lam), CLASSES[q])
+        two = rk.two_sided()
+        nodes = (np.arange(257) + 0.5) / 257
+        for ts in (nodes - nodes[0], nodes[0] - nodes):   # both start at t = 0
+            want = np.array([float(two(t)) for t in ts])
+            assert two(ts).tobytes() == want.tobytes()
+            want = np.array([float(rk(t)) for t in ts + 1])
+            assert rk(ts + 1).tobytes() == want.tobytes()
 
 
 class TestPowerIteration:
@@ -130,6 +146,11 @@ class TestRadiusRefined:
         err = np.abs(res.eigvec / res.eigvec.max() - f / f.max()).max()
         assert err < 1e-4
 
+    def test_refined_result_carries_no_eigvec(self):
+        two = plain_reduced_kernel(0, Fraction(3, 10)).two_sided()
+        res = radius_refined(two, tol=1e-8)
+        assert res.eigvec is None and res.brackets and res.n >= 256
+
     def test_budget_exhaustion_flag(self):
         two = plain_reduced_kernel(0, Fraction(1, 10)).two_sided()
         res = radius_refined(two, tol=1e-14, n0=32, max_doublings=1)
@@ -188,3 +209,50 @@ class TestSpectralLocality:
                 logscale = 2.0 * logscale + math.log(s)
             val = math.exp((logscale + math.log(float(B.sum()))) / 2.0 ** 30)
             assert val == pytest.approx(r_dense, abs=1e-4)
+
+
+class TestPinnedBits:
+    """Exact bits recorded from the per-point scalar sampling of the kernel.
+
+    The digest is the first 16 hex digits of the sha256 of both Toeplitz
+    vectors and kernel_min/kernel_max at n = 2, 3, 256 and 4096; the radius
+    is `radius_refined(...).radius` as float.hex.  q = 2 kernels carry a
+    float lam.
+    """
+
+    # (class, p-1, lam, grid digest, refined radius)
+    CASES = [
+        ("plain", 0, "1/7", "b5e3bfe6e3a94f5d", "0x1.9837d2aad2822p-2"),
+        ("plain", 0, "2/7", "75d1d0aebb74588e", "0x1.def31d841b4dep-2"),
+        ("plain", 0, "331/1009", "90b1603d311f0870", "0x1.eb22c42d5d0a0p-2"),
+        ("plain", 2, "1/7", "f3d66fc37bfe4684", "0x1.037fe6b15406ap-4"),
+        ("plain", 2, "2/7", "f64ab9782c1ab87f", "0x1.a31c93af9ea3dp-4"),
+        ("plain", 2, "331/1009", "5b10bd95347f6253", "0x1.c3ec66b6baad4p-4"),
+        ("plain", 4, "1/7", "0ec94e6579138d57", "0x1.49ec0521e42efp-7"),
+        ("plain", 4, "2/7", "7a8d35193c6e2c05", "0x1.6ebfdffb21a3ep-6"),
+        ("plain", 4, "331/1009", "fffd9150715dec1a", "0x1.9fd7803821de6p-6"),
+        ("plain", 7, "1/7", "b577ff9738a52d46", "0x1.4e6e9e965e410p-11"),
+        ("plain", 7, "2/7", "80b450b33cf37279", "0x1.2c367e14257c9p-9"),
+        ("plain", 7, "331/1009", "5364a06f75159c68", "0x1.6f0c5432cf1d4p-9"),
+        ("1", 3, "1/7", "683b1bdde4b6d812", "0x1.9dcc6db12cbe2p-6"),
+        ("1", 3, "331/1009", "248a1cb958fe439e", "0x1.b181e45b973ecp-5"),
+        ("2", 3, "1/7", "12865edf19e88271", "0x1.9dcc6db12cbdfp-6"),
+        ("2", 3, "331/1009", "25864260769ac7ea", "0x1.b181e45b973ebp-5"),
+    ]
+
+    @staticmethod
+    def _digest(two) -> str:
+        h = hashlib.sha256()
+        for n in (2, 3, 256, 4096):
+            g = discretize(two, n)
+            col, row = g.toeplitz
+            h.update(col.tobytes())
+            h.update(row.tobytes())
+            h.update(np.array([g.kernel_min, g.kernel_max]).tobytes())
+        return h.hexdigest()[:16]
+
+    @pytest.mark.parametrize("q,pm1,lam,digest,radius", CASES)
+    def test_grid_and_radius(self, q, pm1, lam, digest, radius):
+        two = reduced_kernel(pm1, Fraction(lam), CLASSES[q]).two_sided()
+        assert self._digest(two) == digest
+        assert radius_refined(two, tol=1e-8).radius == float.fromhex(radius)
