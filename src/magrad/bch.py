@@ -173,15 +173,16 @@ class PowerComponent:
     poly: NCPoly
 
 
-def upsilon_power_component(n: int, degrees: tuple, N: int = 16) -> PowerComponent:
+def upsilon_power_component(n: int, degrees: tuple) -> PowerComponent:
     """Expand the (d1, d2) block-word component of Ups^n.
 
     Each factor of Ups contributes one Y1-block and one Y2-block of length
     >= 1, so patterns exist only when d1, d2 >= n; otherwise the component
-    is the empty polynomial.
+    is the empty polynomial.  Blocks are at most max(d1, d2) long, and c_k
+    does not depend on the truncation order once that is at least k.
     """
     d1, d2 = degrees
-    c = resolvent_series(max(N, d1, d2))
+    c = resolvent_series(max(d1, d2))
     terms = {}
     if d1 >= n and d2 >= n:
         for comp1 in compositions(d1, n):

@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: theta, norm, kernel, radius, bound, scan, bch, verify-convexity,
-verify.  Rationals cross the boundary as "num/den" strings, floats with 12
-significant digits; identical configurations produce byte-identical output.
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+verify; each accepts only the options its handler reads, spelled in full.
+Rationals cross the boundary as "num/den" strings, floats with 12 significant
+digits; identical configurations produce byte-identical output.  Exit codes:
+0 success, 1 verification failure or an unconverged radius, 2 usage error.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 
 from . import bch as bch_mod
 from . import convexity, kernels, magnus, specrad, verify
@@ -108,12 +110,8 @@ def cmd_norm(args) -> int:
     return 0
 
 
-def _build_kernel(args):
-    return kernels.reduced_kernel(args.p_minus_1, args.lam, args.q)
-
-
 def cmd_kernel(args) -> int:
-    rk = _build_kernel(args)
+    rk = kernels.reduced_kernel(args.p_minus_1, args.lam, args.q)
     rows = kernels.kernel_csv_rows(rk, samples=args.samples)
     _emit({"p_minus_1": rk.p_minus_1, "lam": str(args.lam),
            "q": args.q.describe(), "exact": rk.exact,
@@ -123,7 +121,7 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_radius(args) -> int:
-    two = _build_kernel(args).two_sided()
+    two = kernels.reduced_kernel(args.p_minus_1, args.lam, args.q).two_sided()
     grid = specrad.discretize(two, args.n)
     res = specrad.power_iteration_hopf(grid, tol=args.tol)
     if args.eigvec_out:
@@ -133,7 +131,7 @@ def cmd_radius(args) -> int:
                 fh.write(f"{t:.12g},{v:.12g}\n")
     _emit({**res.to_jsonable(), "lam": str(args.lam),
            "q": args.q.describe(), "p_minus_1": args.p_minus_1}, args)
-    return 0
+    return 0 if res.converged else 1
 
 
 def _closed_form(args):
@@ -228,18 +226,22 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def _add_common(sp, *, lam="1/2", q="plain", p=5, n=2048, tol=1e-8):
-    sp.add_argument("--q", type=_parse_class, default=_parse_class(q),
+def _add_common(sp, *, lam=True, p=False, n=False, tol=None, formats=()):
+    """--q and --out, and those of the shared options the handler reads."""
+    sp.add_argument("--q", type=_parse_class, default=PLAIN,
                     help="convexity exponent q (rational), or 'plain'")
-    sp.add_argument("--lambda", dest="lam", type=_parse_lambda,
-                    default=Fraction(lam), help="resolvent parameter in [0,1]")
-    sp.add_argument("--p", type=int, default=p, help="root order")
-    sp.add_argument("--n", type=int, default=n, help="grid size")
-    sp.add_argument("--tol", type=float, default=tol, help="tolerance")
-    sp.add_argument("--format", choices=("json", "csv", "text"),
-                    default="json")
+    if lam:
+        sp.add_argument("--lambda", dest="lam", type=_parse_lambda,
+                        default=Fraction(1, 2), help="resolvent parameter in [0,1]")
+    if p:
+        sp.add_argument("--p", type=int, default=5, help="root order")
+    if n:
+        sp.add_argument("--n", type=int, default=2048, help="grid size")
+    if tol is not None:
+        sp.add_argument("--tol", type=float, default=tol, help="tolerance")
+    if formats:
+        sp.add_argument("--format", choices=formats, default=formats[0])
     sp.add_argument("--out", default=None, help="output path (default stdout)")
-    sp.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -248,35 +250,37 @@ def build_parser() -> argparse.ArgumentParser:
         description="Certified convergence-radius bounds for Magnus/BCH "
                     "expansions under uniform mean convexity.")
     sub = ap.add_subparsers(dest="command", required=True)
+    # no prefix matching: `radius --p` must not be read as --p-minus-1
+    add = partial(sub.add_parser, allow_abbrev=False)
 
-    sp = sub.add_parser("theta", help="universal norm of a permutation sum")
-    _add_common(sp)
+    sp = add("theta", help="universal norm of a permutation sum")
+    _add_common(sp, formats=("text", "json"))
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--a", type=int, default=None)
     sp.add_argument("--b", type=int, default=None)
-    sp.set_defaults(fn=cmd_theta, format="text")
+    sp.set_defaults(fn=cmd_theta)
 
-    sp = sub.add_parser("norm", help="universal norm of an NCPoly JSON file")
-    _add_common(sp)
+    sp = add("norm", help="universal norm of an NCPoly JSON file")
+    _add_common(sp, lam=False)
     sp.add_argument("poly", help="path to the polynomial JSON")
     sp.add_argument("--cert-out", default=None,
                     help="write LP certificates (JSON) here")
     sp.set_defaults(fn=cmd_norm)
 
-    sp = sub.add_parser("kernel", help="reduced kernel polynomial / samples")
-    _add_common(sp)
+    sp = add("kernel", help="reduced kernel polynomial / samples")
+    _add_common(sp, formats=("json", "csv"))
     sp.add_argument("--p-minus-1", type=int, default=4)
     sp.add_argument("--samples", type=int, default=101)
     sp.set_defaults(fn=cmd_kernel)
 
-    sp = sub.add_parser("radius", help="kernel spectral radius on one grid")
-    _add_common(sp)
+    sp = add("radius", help="kernel spectral radius on one grid")
+    _add_common(sp, n=True, tol=1e-8)
     sp.add_argument("--p-minus-1", type=int, default=4)
     sp.add_argument("--eigvec-out", default=None)
     sp.set_defaults(fn=cmd_radius)
 
-    sp = sub.add_parser("bound", help="radius bounds by method")
-    _add_common(sp)
+    sp = add("bound", help="radius bounds by method")
+    _add_common(sp, p=True, tol=1e-8)
     sp.add_argument("--method", required=True, choices=tuple(BOUND_METHODS))
     sp.add_argument("--grid", type=int, default=101)
     sp.add_argument("--variant", choices=("cayley", "magnus"),
@@ -285,33 +289,31 @@ def build_parser() -> argparse.ArgumentParser:
                     help="degree-4 correction gap for --method ode")
     sp.set_defaults(fn=cmd_bound)
 
-    sp = sub.add_parser("scan", help="lam scan CSV (lam, w, C bound)")
-    _add_common(sp, tol=1e-7)
+    sp = add("scan", help="lam scan CSV (lam, w, C bound)")
+    _add_common(sp, lam=False, p=True, tol=1e-7, formats=("csv", "json"))
     sp.add_argument("--grid", type=int, default=41)
-    sp.set_defaults(fn=cmd_scan, format="csv")
+    sp.set_defaults(fn=cmd_scan)
 
-    sp = sub.add_parser("bch", help="two-variable resolvent-product bounds")
+    sp = add("bch", help="two-variable resolvent-product bounds")
     _add_common(sp)
     sp.add_argument("--x1", type=float, default=1.0)
     sp.add_argument("--x2", type=float, default=1.0)
     sp.add_argument("--l1", action="store_true")
     sp.add_argument("--gain", action="store_true")
-    sp.add_argument("--scan-c2", "--scan", dest="scan_c2", action="store_true")
+    sp.add_argument("--scan-c2", action="store_true")
     sp.add_argument("--critical-lambda", action="store_true")
     sp.set_defaults(fn=cmd_bch)
 
-    sp = sub.add_parser("verify-convexity",
-                        help="sampled operator-inequality checks")
+    sp = add("verify-convexity", help="sampled operator-inequality checks")
     sp.add_argument("--p", type=_parse_fraction, default=Fraction(2),
                     help="space exponent p in (1, inf)")
     sp.add_argument("--n", type=int, default=8, help="space dimension")
     sp.add_argument("--trials", type=int, default=10_000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--format", choices=("json",), default="json")
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_verify_convexity)
 
-    sp = sub.add_parser("verify", help="golden-constant verification suite")
+    sp = add("verify", help="golden-constant verification suite")
     sp.add_argument("--criteria", default=None,
                     help="comma-separated substrings selecting criteria")
     sp.set_defaults(fn=cmd_verify)
@@ -322,6 +324,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except specrad.UnconvergedError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -41,13 +41,6 @@ class LpSpace:
         return min(self.p, self.p / (self.p - 1.0))
 
 
-def clarkson_delta(eps: float, q: float) -> float:
-    """Modulus of convexity 1 - (1 - (eps/2)^q)^(1/q) for eps in (0, 2]."""
-    if not 0.0 < eps <= 2.0:
-        raise ValueError("eps must lie in (0, 2]")
-    return 1.0 - (1.0 - (eps / 2.0) ** q) ** (1.0 / q)
-
-
 def _opnorm_upper(A: np.ndarray) -> float:
     """max column-sum / row-sum bound, valid for every p-operator norm."""
     return max(np.abs(A).sum(axis=0).max(), np.abs(A).sum(axis=1).max())
@@ -84,13 +77,9 @@ def _mean_power(a: float, b: float, r: float) -> float:
     return ((a ** r + b ** r) / 2.0) ** (1.0 / r)
 
 
-def check_umd_sampled(space: LpSpace, trials: int, seed: int = 0) -> SampleReport:
-    """Sample the four-operator mean-convexity inequality on random matrices.
-
-    Tests |((XZ + YZ + XW - YW)/4) v|_p against
-    2^(-1/q) * mean_q'(|X|,|Y|) * mean_q'(|Z|,|W|) with certified upper
-    bounds on the operator norms.
-    """
+def _sample(space: LpSpace, trials: int, seed: int, draw) -> SampleReport:
+    """Ratio |M v|_p / rhs over the trials, with (M, rhs) = draw(rng, n, scale)
+    from the trial's generator and v a random unit vector drawn after them."""
     if trials < 1:
         raise ValueError("need at least one trial")
     n, p = space.n, space.p
@@ -99,14 +88,10 @@ def check_umd_sampled(space: LpSpace, trials: int, seed: int = 0) -> SampleRepor
     violations = []
     for t in range(trials):
         rng = _trial_rng(seed, t)
-        X, Y, Z, W = (rng.standard_normal((n, n)) for _ in range(4))
-        M = (X @ Z + Y @ Z + X @ W - Y @ W) / 4.0
+        M, rhs = draw(rng, n, scale)
         v = rng.standard_normal(n)
         v = v / _pnorm(v, p)
-        lhs = _pnorm(M @ v, p)
-        rhs = scale * _mean_power(_opnorm_upper(X), _opnorm_upper(Y), space.q_prime) \
-            * _mean_power(_opnorm_upper(Z), _opnorm_upper(W), space.q_prime)
-        ratio = lhs / rhs
+        ratio = _pnorm(M @ v, p) / rhs
         if ratio > max_ratio:
             max_ratio, worst = ratio, t
         if ratio > 1.0:
@@ -114,6 +99,22 @@ def check_umd_sampled(space: LpSpace, trials: int, seed: int = 0) -> SampleRepor
     return SampleReport(space=space, trials=trials, seed=seed,
                         max_ratio=max_ratio, violations=violations,
                         worst_trial=worst)
+
+
+def check_umd_sampled(space: LpSpace, trials: int, seed: int = 0) -> SampleReport:
+    """Sample the four-operator mean-convexity inequality on random matrices.
+
+    Tests |((XZ + YZ + XW - YW)/4) v|_p against
+    2^(-1/q) * mean_q'(|X|,|Y|) * mean_q'(|Z|,|W|) with certified upper
+    bounds on the operator norms.
+    """
+    def draw(rng, n, scale):
+        X, Y, Z, W = (rng.standard_normal((n, n)) for _ in range(4))
+        M = (X @ Z + Y @ Z + X @ W - Y @ W) / 4.0
+        r = space.q_prime
+        return M, scale * _mean_power(_opnorm_upper(X), _opnorm_upper(Y), r) \
+            * _mean_power(_opnorm_upper(Z), _opnorm_upper(W), r)
+    return _sample(space, trials, seed, draw)
 
 
 def check_umq_sampled(space: LpSpace, trials: int, seed: int = 0) -> SampleReport:
@@ -122,28 +123,11 @@ def check_umq_sampled(space: LpSpace, trials: int, seed: int = 0) -> SampleRepor
     Tests |((S1S2S3S4 + S2S1S3S4 + S1S2S4S3 - S2S1S4S3)/4) v|_p against
     2^(-1/q) * |S1| |S2| |S3| |S4| with certified norm upper bounds.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    n, p = space.n, space.p
-    scale = 2.0 ** (-1.0 / space.q)
-    max_ratio, worst = 0.0, None
-    violations = []
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
+    def draw(rng, n, scale):
         S1, S2, S3, S4 = (rng.standard_normal((n, n)) for _ in range(4))
         M = (S1 @ S2 @ S3 @ S4 + S2 @ S1 @ S3 @ S4
              + S1 @ S2 @ S4 @ S3 - S2 @ S1 @ S4 @ S3) / 4.0
-        v = rng.standard_normal(n)
-        v = v / _pnorm(v, p)
-        lhs = _pnorm(M @ v, p)
-        rhs = scale
         for S in (S1, S2, S3, S4):
-            rhs *= _opnorm_upper(S)
-        ratio = lhs / rhs
-        if ratio > max_ratio:
-            max_ratio, worst = ratio, t
-        if ratio > 1.0:
-            violations.append(t)
-    return SampleReport(space=space, trials=trials, seed=seed,
-                        max_ratio=max_ratio, violations=violations,
-                        worst_trial=worst)
+            scale *= _opnorm_upper(S)
+        return M, scale
+    return _sample(space, trials, seed, draw)

@@ -133,10 +133,6 @@ class LambdaPoly:
         """Evaluate at ``lam`` (Fraction for exact, float for numeric)."""
         return horner(self.coeffs, lam)
 
-    def integrate01(self) -> Fraction:
-        """Exact integral over lam in [0, 1]."""
-        return sum((c / (i + 1) for i, c in enumerate(self.coeffs)), Fraction(0))
-
     def compose_affine(self, c0, c1) -> "LambdaPoly":
         """Substitute ``lam -> c0 + c1*lam`` (exact)."""
         arg = LambdaPoly((c0, c1))
@@ -157,10 +153,6 @@ LAM_MINUS_ONE = LambdaPoly((-1, 1))
 Coeff = Union[Fraction, LambdaPoly]
 
 
-def _is_zero_coeff(c) -> bool:
-    return not c
-
-
 class NCPoly:
     """Noncommutative polynomial: a map from words to exact coefficients."""
 
@@ -168,15 +160,11 @@ class NCPoly:
 
     def __init__(self, terms: Mapping[Word, Coeff] = ()):
         d = dict(terms)
-        self.terms = {w: c for w, c in d.items() if not _is_zero_coeff(c)}
+        self.terms = {w: c for w, c in d.items() if c}
 
     @classmethod
     def monomial(cls, word: Word, coeff=Fraction(1)) -> "NCPoly":
         return cls({tuple(word): coeff})
-
-    @classmethod
-    def zero(cls) -> "NCPoly":
-        return cls()
 
     def coeff(self, word: Word):
         return self.terms.get(tuple(word), Fraction(0))
@@ -272,14 +260,6 @@ def _asc_des(vals: Sequence) -> tuple[int, int]:
     return asc, len(vals) - 1 - asc
 
 
-def ascent_descent(seq: Sequence) -> tuple[int, int]:
-    """Count ascents and descents of a sequence of pairwise distinct values."""
-    vals = list(seq)
-    if len(set(vals)) != len(vals):
-        raise ValueError("sequence entries must be pairwise distinct")
-    return _asc_des(vals)
-
-
 _weight_cache: dict[tuple[int, int], LambdaPoly] = {}
 
 
@@ -290,29 +270,29 @@ def _weight(asc: int, des: int) -> LambdaPoly:
     return w
 
 
-def _check_degree(k: int, max_degree: int):
-    if not 1 <= k <= max_degree:
-        raise DegreeError(f"degree {k} outside [1, {max_degree}]")
+def _check_degree(k: int):
+    if not 1 <= k <= DEFAULT_MAX_DEGREE:
+        raise DegreeError(f"degree {k} outside [1, {DEFAULT_MAX_DEGREE}]")
 
 
-def _perm_sum(k: int, max_degree: int, head: tuple = (), tail: tuple = ()) -> NCPoly:
+def _perm_sum(k: int, head: tuple = (), tail: tuple = ()) -> NCPoly:
     """Sum of the words s in S_k, weighted by lam^asc * (lam-1)^des of the
     sequence head + s + tail (distinct by construction, so left unchecked)."""
-    _check_degree(k, max_degree)
+    _check_degree(k)
     return NCPoly({s: _weight(*_asc_des(head + s + tail))
                    for s in permutations(range(1, k + 1))})
 
 
-def mu_lambda(k: int, max_degree: int = DEFAULT_MAX_DEGREE) -> NCPoly:
+def mu_lambda(k: int) -> NCPoly:
     """Permutation sum over S_k with weight lam^asc(s) * (lam-1)^des(s).
 
     The k! monomials are the words Y_{s(1)}...Y_{s(k)}; the identity word
     carries lam^(k-1).
     """
-    return _perm_sum(k, max_degree)
+    return _perm_sum(k)
 
 
-def mu_ab(a: int, b: int, max_degree: int = DEFAULT_MAX_DEGREE) -> NCPoly:
+def mu_ab(a: int, b: int) -> NCPoly:
     """Permutation sum with the low boundary marker a+1/2 prepended.
 
     The marker participates in the first ascent/descent transition but not in
@@ -320,18 +300,7 @@ def mu_ab(a: int, b: int, max_degree: int = DEFAULT_MAX_DEGREE) -> NCPoly:
     """
     if a < 0 or b < 0:
         raise DegreeError("a, b must be nonnegative")
-    return _perm_sum(a + b, max_degree, head=(Fraction(2 * a + 1, 2),))
-
-
-def mu_abc(a: int, b: int, c: int, max_degree: int = DEFAULT_MAX_DEGREE) -> NCPoly:
-    """Permutation sum with both markers a+1/2 (prepended) and a+b+1/2 (appended).
-
-    The markers coincide when b = 0; that is fine, they are never adjacent.
-    """
-    if min(a, b, c) < 0:
-        raise DegreeError("a, b, c must be nonnegative")
-    return _perm_sum(a + b + c, max_degree, head=(Fraction(2 * a + 1, 2),),
-                     tail=(Fraction(2 * (a + b) + 1, 2),))
+    return _perm_sum(a + b, head=(Fraction(2 * a + 1, 2),))
 
 
 @lru_cache(maxsize=None)
@@ -361,20 +330,13 @@ def perm_sum_l1(k: int, lam, a: Optional[int] = None) -> Fraction:
     """
     if a is not None and not 0 <= a <= k:
         raise DegreeError("a, b must be nonnegative")
-    _check_degree(k, DEFAULT_MAX_DEGREE)
+    _check_degree(k)
     lam = _as_fraction(lam)
     x, y = abs(lam), abs(lam - 1)
     counts = _ascent_counts(k, a)
     n = len(counts) - 1
     return sum((c * x ** j * y ** (n - j) for j, c in enumerate(counts)),
                Fraction(0))
-
-
-def integrate_lambda(poly: NCPoly) -> NCPoly:
-    """Integrate every coefficient exactly over lam in [0, 1]."""
-    def integ(c):
-        return c.integrate01() if isinstance(c, LambdaPoly) else Fraction(c)
-    return poly.map_coeffs(integ)
 
 
 def eval_lambda(poly: NCPoly, lam) -> NCPoly:

@@ -12,11 +12,10 @@ one-sided kernel, by contrast, genuinely jumps at 0, which is why t = 0 is
 assigned to the lam branch and the quadrature in `specrad` samples cell
 midpoints only.
 
-The plain (ell^1) case has generating-function oracles: Theta_p is the
-x^(p-1) coefficient of G(lam*x, (1-lam)*x) and Ktilde_{p-1}(t) the x^(p-1)
-coefficient of Gt(lam*x, (1-lam)*x | t), both computed by exact series
-division (the shared factor 2*lam-1 of numerator and denominator is divided
-out symbolically first, so lam = 1/2 needs no special casing).
+The plain (ell^1) case has a generating-function oracle: Ktilde_{p-1}(t) is
+the x^(p-1) coefficient of Gt(lam*x, (1-lam)*x | t), computed by exact
+series division (the shared factor 2*lam-1 of numerator and denominator is
+divided out symbolically first, so lam = 1/2 needs no special casing).
 """
 
 from __future__ import annotations
@@ -96,13 +95,6 @@ class TwoSidedKernel:
             return self.lam * self.reduced(t)
         return (1 - self.lam) * self.reduced(t + 1)
 
-    def kernel(self, t0, tp):
-        return self(tp - t0)
-
-    @property
-    def is_convolution(self) -> bool:
-        return float(self.lam) == 0.5
-
 
 def reduced_kernel(p_minus_1: int, lam, cls: ConvexityClass) -> ReducedKernel:
     """Assemble the reduced kernel from the universal-norm Theta_ab values.
@@ -150,25 +142,6 @@ def _denominator_series(lam: Fraction, N: int) -> list:
         s = sum(((1 - lam) ** i) * (lam ** (k - 2 - i)) for i in range(k - 1))
         out.append(-mu * s / factorial_fraction(k))
     return out
-
-
-def g_series(lam, N: int) -> list:
-    """Plain characteristic coefficients Theta_k for k = 0..N (Theta_0 = 0).
-
-    Theta_k is the x^(k-1) coefficient of (e^u - e^v)/(u e^v - v e^u) at
-    u = lam*x, v = (1-lam)*x; computed as an exact rational series quotient.
-    Cross-checked elsewhere against the Euler recursion, which is the ground
-    truth for the plain case.
-    """
-    if N > 30:
-        raise ValueError("series order capped at 30")
-    lam = Fraction(lam)
-    # numerator/(x*(2 lam - 1)): coefficient k is sum_i lam^i (1-lam)^(k-i)/(k+1)!
-    num = [sum((lam ** i) * ((1 - lam) ** (k - i)) for i in range(k + 1))
-           / factorial_fraction(k + 1) for k in range(N)]
-    den = _denominator_series(lam, N)
-    g = series_div(num, den, N - 1) if N >= 1 else []
-    return [Fraction(0)] + g
 
 
 def g_tilde_series(lam, t, N: int) -> list:

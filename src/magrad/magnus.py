@@ -18,8 +18,14 @@ from scipy.integrate import solve_ivp
 
 from .kernels import plain_reduced_kernel, reduced_kernel
 from .series import refine_max
-from .specrad import convolution_radius, radius_refined
+from .specrad import UnconvergedError, convolution_radius, radius_refined
 from .umqnorm import ConvexityClass
+
+#: ode_blowup integrates to _BLOWUP_RTOL until T reaches _BLOWUP_THRESHOLD;
+#: c_log_bound refines its lam argmax to _LAM_TOL; kernel ratios use _T_GRID t's
+_BLOWUP_THRESHOLD, _BLOWUP_RTOL = 1e6, 1e-10
+_LAM_TOL = 1e-6
+_T_GRID = 2001
 
 
 def c_plain(lam: float) -> float:
@@ -74,8 +80,7 @@ def euler_coeffs(lam, N: int, corrections: Sequence[tuple] = ()) -> list:
     return th[: N + 1]
 
 
-def ode_blowup(lam: float, corrections: Sequence[tuple] = (),
-               threshold: float = 1e6, rtol: float = 1e-10) -> float:
+def ode_blowup(lam: float, corrections: Sequence[tuple] = ()) -> float:
     """Blow-up abscissa of T' = (1+lam*T)(1+(1-lam)*T) - E(x), T(0) = 0.
 
     E(x) = sum gap*k*x^(k-1) over the corrections.  Integration runs to the
@@ -96,17 +101,17 @@ def ode_blowup(lam: float, corrections: Sequence[tuple] = (),
         return [(1.0 + lam * th) * (1.0 + (1.0 - lam) * th) - e]
 
     def hit(x, y):
-        return y[0] - threshold
+        return y[0] - _BLOWUP_THRESHOLD
 
     hit.terminal = True
     hit.direction = 1
     x_max = 3.0 * c_plain(lam) + 10.0
     sol = solve_ivp(rhs, (0.0, x_max), [0.0], events=hit,
-                    rtol=rtol, atol=1e-12, method="RK45")
+                    rtol=_BLOWUP_RTOL, atol=1e-12, method="RK45")
     if not sol.t_events[0].size:
         raise RuntimeError("no blow-up detected inside the integration window")
     t_hit = float(sol.t_events[0][0])
-    return t_hit + 1.0 / (lam * (1.0 - lam) * threshold)
+    return t_hit + 1.0 / (lam * (1.0 - lam) * _BLOWUP_THRESHOLD)
 
 
 @dataclass
@@ -139,7 +144,8 @@ class BoundReport:
 
 def _kernel_radius(p_minus_1: int, lam: Fraction, cls: ConvexityClass,
                    tol: float = 1e-8) -> float:
-    """Spectral radius of the degree p-1 estimating kernel at one lam."""
+    """Spectral radius of the degree p-1 estimating kernel at one lam;
+    UnconvergedError when the grid refinement did not settle."""
     lamF = Fraction(lam)
     if lamF in (0, 1):
         return 0.0          # one-sided support: quasi-nilpotent kernel
@@ -147,7 +153,10 @@ def _kernel_radius(p_minus_1: int, lam: Fraction, cls: ConvexityClass,
     two = rk.two_sided()
     if lamF == Fraction(1, 2):
         return float(convolution_radius(two))
-    return radius_refined(two, tol=tol).radius
+    res = radius_refined(two, tol=tol)
+    if not res.converged:
+        raise UnconvergedError(f"p-1 = {p_minus_1}, lam = {lamF}: {res.warning}")
+    return res.radius
 
 
 def c_bound_pth_root(lam, p: int, cls: ConvexityClass,
@@ -161,46 +170,43 @@ def c_bound_pth_root(lam, p: int, cls: ConvexityClass,
 
 
 def c_log_bound(p: int, cls: ConvexityClass, grid: int = 101,
-                radius_tol: float = 1e-8, lam_tol: float = 1e-6) -> BoundReport:
+                radius_tol: float = 1e-8) -> BoundReport:
     """Lower bound from the lam-maximized kernel radius.
 
-    Scans lam on [0, 1/2] (the kernel radius is symmetric under
-    lam <-> 1-lam), then sharpens the argmax by bounded scalar minimization
-    to lam_tol.  Returns (1/max_radius)^(1/p).
+    Scans lam on [0, 1/2] with `scan_rows` (the kernel radius is symmetric
+    under lam <-> 1-lam), then sharpens the argmax by bounded scalar
+    minimization to _LAM_TOL.  Returns (1/max_radius)^(1/p).
     """
     def w_of(lam_float: float) -> float:
         lamF = Fraction(lam_float).limit_denominator(10 ** 9)
         return _kernel_radius(p - 1, lamF, cls, tol=radius_tol)
 
-    lams = [Fraction(k, 2 * (grid - 1)) for k in range(grid)]
-    ws = [_kernel_radius(p - 1, l, cls, tol=radius_tol) for l in lams]
-    w_max, lam_star = refine_max(w_of, lams, ws, xatol=lam_tol)
+    lams, ws, _ = zip(*scan_rows(p, cls, grid, radius_tol))
+    w_max, lam_star = refine_max(w_of, lams, ws, xatol=_LAM_TOL)
     return BoundReport(
         method="log-kernel", q=cls.describe(), p=p,
         lower=(1.0 / w_max) ** (1.0 / p),
         details={"max_kernel_radius": w_max, "arg_lam": lam_star,
-                 "grid": grid, "lam_tol": lam_tol},
+                 "grid": grid, "lam_tol": _LAM_TOL},
     )
 
 
-def kernel_ratio_sup(p_minus_1: int, lam, cls: ConvexityClass,
-                     t_grid: int = 2001) -> dict:
+def kernel_ratio_sup(p_minus_1: int, lam, cls: ConvexityClass) -> dict:
     """sup over t of K_cls / K_plain, equal on both signs of t to the
     reduced-kernel ratio on [0, 1] (the lam and 1-lam prefactors cancel)."""
     lamF = Fraction(lam)
     num = reduced_kernel(p_minus_1, lamF, cls)
     den = plain_reduced_kernel(p_minus_1, lamF)
-    ts = np.linspace(0.0, 1.0, t_grid)
+    ts = np.linspace(0.0, 1.0, _T_GRID)
     nv, dv = num(ts), den(ts)
     ratios = np.where(dv > 0, nv / np.where(dv > 0, dv, 1.0), 0.0)
     sup, arg_t = refine_max(lambda t: float(num(t)) / float(den(t)), ts, ratios)
-    return {"sup": float(sup), "grid": t_grid, "arg_t": arg_t}
+    return {"sup": float(sup), "grid": _T_GRID, "arg_t": arg_t}
 
 
-def crude_ratio_bound(lam, p: int, cls: ConvexityClass,
-                      t_grid: int = 2001) -> BoundReport:
+def crude_ratio_bound(lam, p: int, cls: ConvexityClass) -> BoundReport:
     """Lower bound 1/(w_plain * S^(1/p)) with S the kernel ratio supremum."""
-    info = kernel_ratio_sup(p - 1, lam, cls, t_grid=t_grid)
+    info = kernel_ratio_sup(p - 1, lam, cls)
     s = info["sup"]
     w = w_plain(float(lam))
     lower = math.inf if w == 0 else 1.0 / (w * s ** (1.0 / p))
@@ -208,10 +214,10 @@ def crude_ratio_bound(lam, p: int, cls: ConvexityClass,
                        p=p, lower=lower, details=info)
 
 
-def maglower_floor(cls: ConvexityClass, p: int = 5) -> float:
-    """The uniform crude floor 2/(3/4 + kappa/4)^(1/p) for the degree-4 gain."""
+def maglower_floor(cls: ConvexityClass) -> float:
+    """The uniform crude floor 2/(3/4 + kappa/4)^(1/5) for the degree-4 gain."""
     kappa = cls.kappa_float
-    return 2.0 / (0.75 + 0.25 * kappa) ** (1.0 / p)
+    return 2.0 / (0.75 + 0.25 * kappa) ** (1.0 / 5)
 
 
 def upper_trivial(cls: ConvexityClass, variant: str = "cayley",

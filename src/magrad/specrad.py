@@ -32,6 +32,10 @@ class InvalidUseError(ValueError):
     """Operation applied to a kernel outside its precondition."""
 
 
+class UnconvergedError(RuntimeError):
+    """A radius the caller needs did not settle within its iteration budget."""
+
+
 KernelLike = Union[TwoSidedKernel, Callable[[float, float], float]]
 
 
@@ -195,44 +199,42 @@ def convolution_radius(kernel: Union[ReducedKernel, TwoSidedKernel]):
     raise InvalidUseError("not a convolution-type kernel")
 
 
-def radius_refined(kernel: KernelLike, tol: float = 1e-6, n0: int = 256,
-                   max_doublings: int = 5, inner_tol: Optional[float] = None,
-                   max_iter_factor: int = 10) -> RadiusResult:
+#: first grid size of `radius_refined`, and how often it may double
+REFINE_N0 = 256
+REFINE_DOUBLINGS = 5
+
+
+def radius_refined(kernel: KernelLike, tol: float = 1e-6) -> RadiusResult:
     """Grid-doubling power iteration with Richardson extrapolation.
 
-    Runs the Hopf iteration at n0, 2*n0, 4*n0, ... and extrapolates the
-    bracket midpoints assuming an error expansion in powers of 1/n (orders
-    1, 2, 3 eliminated in turn).  Stops when two successive extrapolants
-    agree within tol; sets a warning flag when the doubling budget runs out.
+    Runs the Hopf iteration (to tol/100, at most 10*n steps) at REFINE_N0,
+    2*REFINE_N0, ... and extrapolates the bracket midpoints assuming an error
+    expansion in powers of 1/n (orders 1, 2, 3 eliminated in turn).  Stops
+    when two successive extrapolants agree within tol; sets a warning flag
+    when the REFINE_DOUBLINGS budget runs out.
     The result keeps the finest grid's bracket, brackets and iterations but
     no eigenvector (`eigvec` is None): its radius is the extrapolant, not
     that grid's eigenvalue.  Run `power_iteration_hopf` on a grid for one.
     """
-    if inner_tol is None:
-        inner_tol = tol * 1e-2
-    values = []
-    last = None
-    result = None
-    for level in range(max_doublings + 1):
-        n = n0 * (1 << level)
+    values, last = [], None
+    for level in range(REFINE_DOUBLINGS + 1):
+        n = REFINE_N0 * (1 << level)
         grid = discretize(kernel, n)
-        result = power_iteration_hopf(grid, tol=inner_tol,
-                                      max_iter=max_iter_factor * n)
+        result = power_iteration_hopf(grid, tol=tol * 1e-2, max_iter=10 * n)
         values.append(result.radius)
         # Richardson table along the diagonal
         row = list(values)
         for order in range(1, len(values)):
             f = float(2 ** order)
             row = [(f * row[i + 1] - row[i]) / (f - 1.0) for i in range(len(row) - 1)]
-        extrap = row[0]
-        if last is not None and abs(extrap - last) <= tol:
-            return RadiusResult(radius=extrap, bracket=result.bracket,
-                                iterations=result.iterations,
-                                converged=True, brackets=result.brackets, n=n)
-        last = extrap
+        converged = last is not None and bool(abs(row[0] - last) <= tol)
+        last = row[0]
+        if converged:
+            break
     return RadiusResult(radius=last, bracket=result.bracket,
-                        iterations=result.iterations, converged=False,
-                        warning="doubling budget exhausted before extrapolants settled",
+                        iterations=result.iterations, converged=converged,
+                        warning=None if converged else
+                        "doubling budget exhausted before extrapolants settled",
                         brackets=result.brackets, n=result.n)
 
 

@@ -412,8 +412,7 @@ def _solve_at_kappa(target: NCPoly, columns: list[Column], rows: list[Word],
     return total, cert
 
 
-def fa_norm_exact(x: NCPoly, cls: ConvexityClass,
-                  columns: Optional[Sequence[Column]] = None) -> NormValue:
+def fa_norm_exact(x: NCPoly, cls: ConvexityClass) -> NormValue:
     """Universal norm by exact LP; enclosure when kappa is irrational.
 
     Feasibility is guaranteed (monomials alone span), so an infeasible LP
@@ -430,14 +429,12 @@ def fa_norm_exact(x: NCPoly, cls: ConvexityClass,
     if degree == 0:
         v = abs(Fraction(x.terms[()]))
         return NormValue(v, v)
-    if columns is None:
-        if degree > EXHAUSTIVE_CAP:
-            raise ExhaustiveCapError(
-                f"exhaustive mode unavailable above degree {EXHAUSTIVE_CAP};"
-                " use fa_norm_upper"
-            )
-        columns = _columns_cached(degree, x.generator_multiset())
-    columns = list(columns)
+    if degree > EXHAUSTIVE_CAP:
+        raise ExhaustiveCapError(
+            f"exhaustive mode unavailable above degree {EXHAUSTIVE_CAP};"
+            " use fa_norm_upper"
+        )
+    columns = list(_columns_cached(degree, x.generator_multiset()))
     words = set(x.terms)
     for col in columns:
         words.update(col.poly.terms)

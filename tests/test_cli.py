@@ -191,3 +191,60 @@ class TestVerify:
         assert code == 0
         data = json.loads(path.read_text())
         assert data["schema"] == "magrad/1"
+
+
+# a cheap valid call of each subcommand, and options it no longer accepts:
+# each was parsed and then ignored (or, for --format, offered a format the
+# subcommand never writes); `bch --scan` was an alias of --scan-c2, and
+# `radius --p` must not be taken as a prefix of --p-minus-1
+BASE = {
+    "theta": ["theta", "--k", "2"],
+    "norm": ["norm", "{poly}"],
+    "kernel": ["kernel", "--p-minus-1", "2"],
+    "radius": ["radius", "--p-minus-1", "0", "--n", "16"],
+    "bound": ["bound", "--method", "closed-form", "--lambda", "1/3"],
+    "scan": ["scan", "--p", "2", "--grid", "3"],
+    "bch": ["bch", "--critical-lambda"],
+    "verify-convexity": ["verify-convexity", "--trials", "5"],
+}
+REMOVED = [
+    ("theta", "--p", "5"), ("theta", "--n", "8"), ("theta", "--tol", "1e-6"),
+    ("theta", "--seed", "1"), ("theta", "--format", "csv"),
+    ("norm", "--lambda", "1/3"), ("norm", "--p", "5"), ("norm", "--n", "4"),
+    ("norm", "--tol", "1e-6"), ("norm", "--format", "json"),
+    ("norm", "--seed", "1"),
+    ("kernel", "--p", "5"), ("kernel", "--n", "8"), ("kernel", "--tol", "1e-6"),
+    ("kernel", "--seed", "1"), ("kernel", "--format", "text"),
+    ("radius", "--p", "5"), ("radius", "--format", "json"),
+    ("radius", "--seed", "1"),
+    ("bound", "--n", "8"), ("bound", "--format", "json"),
+    ("bound", "--seed", "1"),
+    ("scan", "--lambda", "1/3"), ("scan", "--n", "8"), ("scan", "--seed", "1"),
+    ("scan", "--format", "text"),
+    ("bch", "--p", "5"), ("bch", "--n", "8"), ("bch", "--tol", "1e-6"),
+    ("bch", "--format", "json"), ("bch", "--seed", "1"), ("bch", "--scan"),
+    ("verify-convexity", "--format", "json"),
+]
+
+
+class TestOptionSurface:
+    @pytest.mark.parametrize("case", REMOVED, ids=" ".join)
+    def test_unread_option_is_usage_error(self, case, tmp_path, capsys):
+        poly = tmp_path / "poly.json"
+        poly.write_text(eval_lambda(mu_lambda(2), Fraction(1, 2)).to_json())
+        argv = [a.replace("{poly}", str(poly)) for a in BASE[case[0]]]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *case[1:]])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("cmd", BASE)
+    def test_base_calls_succeed(self, cmd, tmp_path, capsys):
+        poly = tmp_path / "poly.json"
+        poly.write_text(eval_lambda(mu_lambda(2), Fraction(1, 2)).to_json())
+        assert main([a.replace("{poly}", str(poly)) for a in BASE[cmd]]) == 0
+
+    def test_unconverged_radius_exits_one(self, capsys):
+        code, out = run(capsys, "radius", "--p-minus-1", "4", "--lambda", "1/3",
+                        "--n", "16", "--tol", "0")
+        data = json.loads(out)
+        assert code == 1 and not data["converged"]

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 import magrad
+from magrad import specrad
+from magrad.cli import main
 from magrad.kernels import plain_reduced_kernel, reduced_kernel
 from magrad.magnus import (
     BoundReport,
@@ -131,6 +133,17 @@ class TestPthRootBound:
         b1 = c_bound_pth_root(Fraction(3, 10), 5, Q1).lower
         b2 = c_bound_pth_root(Fraction(7, 10), 5, Q1).lower
         assert abs(b1 - b2) < 1e-9
+
+    def test_unconverged_radius_raises(self, monkeypatch, capsys):
+        # no doubling: the Richardson table never gets two extrapolants
+        monkeypatch.setattr(specrad, "REFINE_DOUBLINGS", 0)
+        with pytest.raises(specrad.UnconvergedError):
+            c_bound_pth_root(Fraction(1, 3), 3, PLAIN)
+        code = main(["bound", "--method", "pth-root", "--lambda", "1/3",
+                     "--p", "3", "--q", "plain"])
+        captured = capsys.readouterr()
+        assert code == 1 and not captured.out
+        assert "doubling budget exhausted" in captured.err
 
 
 class TestLogBound:

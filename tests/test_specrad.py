@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from magrad import specrad
 from magrad.kernels import plain_reduced_kernel, reduced_kernel
 from magrad.magnus import w_plain
 from magrad.specrad import (
@@ -151,9 +152,11 @@ class TestRadiusRefined:
         res = radius_refined(two, tol=1e-8)
         assert res.eigvec is None and res.brackets and res.n >= 256
 
-    def test_budget_exhaustion_flag(self):
+    def test_budget_exhaustion_flag(self, monkeypatch):
+        monkeypatch.setattr(specrad, "REFINE_N0", 32)
+        monkeypatch.setattr(specrad, "REFINE_DOUBLINGS", 1)
         two = plain_reduced_kernel(0, Fraction(1, 10)).two_sided()
-        res = radius_refined(two, tol=1e-14, n0=32, max_doublings=1)
+        res = radius_refined(two, tol=1e-14)
         assert not res.converged and res.warning
 
     def test_monotone_in_kernel(self):

@@ -172,27 +172,6 @@ class TestNormExact:
         dual_val = sum(cert.duals[w] * c for w, c in p.terms.items())
         assert dual_val == v.value
 
-    def test_explicit_columns_match_default(self):
-        p = eval_lambda(mu_ab(1, 3), Fraction(2, 5))
-        cols = _columns_cached(4, p.generator_multiset())
-        v = fa_norm_exact(p, Q1, columns=cols)
-        default = fa_norm_exact(p, Q1)
-        assert v.exact and v.value == default.value
-        assert ([c.to_jsonable() for c in v.certificates]
-                == [c.to_jsonable() for c in default.certificates])
-        (cert,) = v.certificates
-        for col in cols:
-            pairing = sum(cert.duals.get(w, Fraction(0)) * cv
-                          for w, cv in col.poly.terms.items())
-            assert abs(pairing) <= col.cost(cert.kappa)
-        acc = NCPoly()
-        cost = Fraction(0)
-        for j, cv in cert.coefficients.items():
-            acc = acc + cols[j].poly.scale(cv)
-            cost += abs(cv) * cols[j].cost(cert.kappa)
-        assert acc == p and cost == v.value
-        assert sum(cert.duals[w] * c for w, c in p.terms.items()) == v.value
-
 
 class TestNormUpper:
     def test_empty_cross_terms_is_l1(self):
