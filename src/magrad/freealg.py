@@ -163,8 +163,9 @@ class NCPoly:
         self.terms = {w: c for w, c in d.items() if c}
 
     @classmethod
-    def monomial(cls, word: Word, coeff=Fraction(1)) -> "NCPoly":
-        return cls({tuple(word): coeff})
+    def monomial(cls, word: Word) -> "NCPoly":
+        """The word with coefficient 1."""
+        return cls({tuple(word): Fraction(1)})
 
     def coeff(self, word: Word):
         return self.terms.get(tuple(word), Fraction(0))

@@ -7,19 +7,20 @@ between positive constants m and M.  Brackets are widened by a few ulps per
 step and intersected with the previous bracket, so the stored sequence is
 nested and each interval still contains the grid operator's radius.
 
-Toeplitz kernels (two-sided reduced form) use FFT matvec via scipy; a grid
-doubling schedule with Richardson extrapolation removes the O(1/n) and
-O(1/n^2) discretization errors.
+Toeplitz kernels (two-sided reduced form) multiply through the cached FFT of
+their embedding circulant, one rfft/irfft pair per step; a grid doubling
+schedule with Richardson extrapolation removes the O(1/n) and O(1/n^2)
+discretization errors.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.linalg import matmul_toeplitz
 
 from .kernels import ReducedKernel, TwoSidedKernel
 
@@ -41,7 +42,17 @@ KernelLike = Union[TwoSidedKernel, Callable[[float, float], float]]
 
 @dataclass
 class OperatorGrid:
-    """Midpoint Nystrom discretization A[i][j] = K(t_i, t_j)/n."""
+    """Midpoint Nystrom discretization A[i][j] = K(t_i, t_j)/n.
+
+    A Toeplitz grid keeps its first column and row, and `spectrum`, the real
+    FFT of the circulant that embeds it (the column, then the row reversed
+    without its first entry), computed once when the grid is built.  A
+    matvec is then one rfft of v zero-padded to p = 2n-1, a product with the
+    spectrum and one irfft, cut back to n entries.  p stays 2n-1, the length
+    `scipy.linalg.matmul_toeplitz` uses, because at that length the product
+    is bit for bit scipy's, on which every pinned radius rests; a fast
+    length such as 2n would be cheaper but moves those last bits.
+    """
 
     n: int
     nodes: np.ndarray
@@ -49,10 +60,20 @@ class OperatorGrid:
     matrix: Optional[np.ndarray] = None
     kernel_min: float = 0.0              # min/max of n*A = sampled kernel values
     kernel_max: float = 0.0
+    spectrum: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        if self.toeplitz is not None:
+            col, row = self.toeplitz
+            embedded = np.concatenate((col, row[-1:0:-1]))
+            if not np.isfinite(embedded).all():
+                raise InvalidKernelError("non-finite kernel sample")
+            self.spectrum = np.fft.rfft(embedded)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        if self.toeplitz is not None:
-            return matmul_toeplitz(self.toeplitz, v)
+        if self.spectrum is not None:
+            p = 2 * self.n - 1
+            return np.fft.irfft(self.spectrum * np.fft.rfft(v, n=p), n=p)[:self.n]
         return self.matrix @ v
 
     @property
@@ -135,8 +156,8 @@ def _clamp_roundoff(vals: np.ndarray) -> np.ndarray:
 
 
 def _widen(lo: float, hi: float) -> tuple:
-    return (np.nextafter(np.nextafter(lo, -np.inf), -np.inf),
-            np.nextafter(np.nextafter(hi, np.inf), np.inf))
+    return (math.nextafter(math.nextafter(lo, -math.inf), -math.inf),
+            math.nextafter(math.nextafter(hi, math.inf), math.inf))
 
 
 def power_iteration_hopf(grid: OperatorGrid, tol: float = 1e-8,
@@ -153,12 +174,16 @@ def power_iteration_hopf(grid: OperatorGrid, tol: float = 1e-8,
         if not np.isfinite(w).all():
             raise FloatingPointError("iterate overflow; normalize the kernel")
         w = np.maximum(w, 0.0)      # FFT matvec noise below the support
-        if w.max() <= 0.0:
+        wmax = w.max()
+        if wmax <= 0.0:
             brackets.append((0.0, 0.0))
             return RadiusResult(radius=0.0, bracket=(0.0, 0.0), iterations=k + 1,
                                 eigvec=v, brackets=brackets, n=n)
-        mask = v > 0
-        ratios = w[mask] / v[mask]
+        if v.min() > 0.0:
+            ratios = w / v
+        else:                       # zero entries of v carry no ratio
+            mask = v > 0
+            ratios = w[mask] / v[mask]
         nlo, nhi = _widen(float(ratios.min()), float(ratios.max()))
         nlo, nhi = max(nlo, lo, 0.0), min(nhi, hi)
         if nlo > nhi:
@@ -170,7 +195,7 @@ def power_iteration_hopf(grid: OperatorGrid, tol: float = 1e-8,
                                 brackets=brackets, n=n)
         lo, hi = nlo, nhi
         brackets.append((lo, hi))
-        v = w / w.max()
+        v = w / wmax
         if hi - lo <= tol:
             return RadiusResult(radius=0.5 * (lo + hi), bracket=(lo, hi),
                                 iterations=k + 1, eigvec=v, brackets=brackets, n=n)
@@ -237,17 +262,3 @@ def radius_refined(kernel: KernelLike, tol: float = 1e-6) -> RadiusResult:
                         "doubling budget exhausted before extrapolants settled",
                         brackets=result.brackets, n=result.n)
 
-
-def grid_convolve(k1: TwoSidedKernel, k2: TwoSidedKernel, n: int) -> OperatorGrid:
-    """Discretized kernel product (K1 * K2)(s, t) = int K1(s, r) K2(r, t) dr.
-
-    Used to test submultiplicativity of the kernel family numerically: the
-    product grid is the matrix product of the factor grids (the 1/n
-    quadrature weight is already in each factor).
-    """
-    g1, g2 = discretize(k1, n), discretize(k2, n)
-    c1, r1 = g1.toeplitz
-    c2, r2 = g2.toeplitz
-    A = matmul_toeplitz((c1, r1), np.eye(n))
-    B = matmul_toeplitz((c2, r2), np.eye(n))
-    return OperatorGrid.from_matrix(A @ B)

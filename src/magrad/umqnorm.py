@@ -54,10 +54,10 @@ def _int_nth_root(x: int, n: int) -> int:
     return m
 
 
-def _kappa_bounds(q: Fraction, digits: int = 25) -> tuple[Fraction, Fraction]:
-    """Certified rational enclosure of 2**(-1/q)."""
+def _kappa_bounds(q: Fraction) -> tuple[Fraction, Fraction]:
+    """Certified rational enclosure of 2**(-1/q), to 25 decimal digits."""
     qn, qd = q.numerator, q.denominator
-    scale = 10 ** digits
+    scale = 10 ** 25
     # r = 2**(qd/qn) >= 1;  kappa = 1/r
     m = _int_nth_root((2 ** qd) * scale ** qn, qn)
     r_lo, r_hi = Fraction(m, scale), Fraction(m + 1, scale)

@@ -322,8 +322,7 @@ CHECKS: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
 ]
 
 
-def run_checks(names: Optional[list[str]] = None,
-               emit: Callable[[str], None] = print) -> list[CheckResult]:
+def run_checks(names: Optional[list[str]] = None) -> list[CheckResult]:
     results = []
     for name, fn in CHECKS:
         if names and not any(sel in name for sel in names):
@@ -335,6 +334,6 @@ def run_checks(names: Optional[list[str]] = None,
             passed, detail = False, f"exception: {exc!r}"
         res = CheckResult(name=name, passed=passed, detail=detail,
                           seconds=time.time() - t0)
-        emit(res.line())
+        print(res.line())
         results.append(res)
     return results

@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import matmul_toeplitz
 
 from magrad import specrad
-from magrad.kernels import plain_reduced_kernel, reduced_kernel
+from magrad.kernels import TwoSidedKernel, plain_reduced_kernel, reduced_kernel
 from magrad.magnus import w_plain
 from magrad.specrad import (
     InvalidKernelError,
@@ -16,7 +17,6 @@ from magrad.specrad import (
     OperatorGrid,
     convolution_radius,
     discretize,
-    grid_convolve,
     power_iteration_hopf,
     radius_refined,
 )
@@ -24,6 +24,19 @@ from magrad.umqnorm import PLAIN, ConvexityClass
 
 Q1 = ConvexityClass.from_q(1)
 CLASSES = {"plain": PLAIN, "1": Q1, "2": ConvexityClass.from_q(2)}
+
+
+def grid_convolve(k1: TwoSidedKernel, k2: TwoSidedKernel, n: int) -> OperatorGrid:
+    """Discretized kernel product (K1 * K2)(s, t) = int K1(s, r) K2(r, t) dr.
+
+    The product grid is the matrix product of the factor grids (the 1/n
+    quadrature weight is already in each factor), formed with scipy's
+    Toeplitz product as an oracle independent of `OperatorGrid.matvec`.
+    """
+    (c1, r1), (c2, r2) = discretize(k1, n).toeplitz, discretize(k2, n).toeplitz
+    A = matmul_toeplitz((c1, r1), np.eye(n))
+    B = matmul_toeplitz((c2, r2), np.eye(n))
+    return OperatorGrid.from_matrix(A @ B)
 
 
 class TestDiscretize:
@@ -61,6 +74,37 @@ class TestDiscretize:
             assert two(ts).tobytes() == want.tobytes()
             want = np.array([float(rk(t)) for t in ts + 1])
             assert rk(ts + 1).tobytes() == want.tobytes()
+
+
+class TestToeplitzMatvec:
+    @pytest.mark.parametrize("n", [2, 3, 256, 257, 4096])
+    @pytest.mark.parametrize("q,pm1,lam", [
+        ("plain", 0, "331/1009"), ("plain", 2, "331/1009"),
+        ("plain", 7, "331/1009"), ("1", 3, "1/7"), ("2", 3, "1/7")])
+    def test_equals_scipy_bit_for_bit(self, q, pm1, lam, n):
+        # q = 2 kernels carry a float lam
+        two = reduced_kernel(pm1, Fraction(lam), CLASSES[q]).two_sided()
+        g = discretize(two, n)
+        rng = np.random.default_rng(n + 10 * pm1)
+        for v in (np.ones(n), rng.uniform(0.0, 1.0, n), rng.standard_normal(n)):
+            assert np.array_equal(g.matvec(v), matmul_toeplitz(g.toeplitz, v))
+
+    def test_one_forward_fft_per_matvec(self, monkeypatch):
+        g = discretize(plain_reduced_kernel(2, Fraction(2, 7)).two_sided(), 256)
+        calls = []
+        rfft = np.fft.rfft
+        monkeypatch.setattr(np.fft, "rfft",
+                            lambda *a, **kw: calls.append(1) or rfft(*a, **kw))
+        v = np.ones(g.n)
+        for _ in range(5):
+            v = g.matvec(v)
+        assert len(calls) == 5
+
+    def test_non_finite_sample_rejected(self):
+        nodes = (np.arange(2) + 0.5) / 2
+        with pytest.raises(InvalidKernelError):
+            OperatorGrid(n=2, nodes=nodes,
+                         toeplitz=(np.array([1.0, np.nan]), np.array([1.0, 0.5])))
 
 
 class TestPowerIteration:
@@ -259,3 +303,45 @@ class TestPinnedBits:
         two = reduced_kernel(pm1, Fraction(lam), CLASSES[q]).two_sided()
         assert self._digest(two) == digest
         assert radius_refined(two, tol=1e-8).radius == float.fromhex(radius)
+
+    # At lam = 0 or 1 one branch of the two-sided kernel vanishes, so the grid
+    # is triangular and FFT noise leaves iterates with exact zero entries on
+    # some steps only.  (class, p-1, lam, n, radius, bracket, iterations,
+    # converged, warning) of `power_iteration_hopf(discretize(two, n))`.
+    ZERO_ENTRY_CASES = [
+        ("plain", 0, "0", 3, "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", 3, True, None),
+        ("plain", 0, "0", 256, "0x1.8d64553c290eep-6", "0x1.7ccab5fc777d6p-6",
+         "0x1.9dfdf47bdaa05p-6", 2560, False,
+         "bracket width 0.00202638 > tol after 2560 iterations"),
+        ("plain", 0, "1", 256, "0x1.8dd821eb5b8dap-6", "0x1.740a1c4827628p-6",
+         "0x1.a7a6278e8fb8bp-6", 2560, False,
+         "bracket width 0.00315 > tol after 2560 iterations"),
+        ("plain", 2, "0", 257, "0x1.c7d163709c918p-16", "0x1.8f78c3aa24e13p-16",
+         "0x1.0015019b8a20ep-15", 2570, False,
+         "bracket width 6.71699e-06 > tol after 2570 iterations"),
+        ("plain", 2, "1", 3, "0x1.7cbf1dee944bcp-13", "0x1.c333333333332p-49",
+         "0x1.7cbf1dee86322p-12", 21, False, "floating-point noise floor reached"),
+        ("1", 3, "1", 3, "0x1.7e3999999999ap-49", "0x1.7cecccccccccbp-49",
+         "0x1.7f86666666669p-49", 18, True, None),
+    ]
+
+    @pytest.mark.parametrize("q,pm1,lam,n,radius,lo,hi,iterations,converged,warning",
+                             ZERO_ENTRY_CASES)
+    def test_zero_entry_iterates(self, monkeypatch, q, pm1, lam, n, radius, lo, hi,
+                                 iterations, converged, warning):
+        two = reduced_kernel(pm1, Fraction(lam), CLASSES[q]).two_sided()
+        g = discretize(two, n)
+        has_zero = []
+        matvec = OperatorGrid.matvec
+
+        def recording(self, v):
+            has_zero.append(bool((v == 0).any()))
+            return matvec(self, v)
+
+        monkeypatch.setattr(OperatorGrid, "matvec", recording)
+        res = power_iteration_hopf(g)
+        assert any(has_zero) and not all(has_zero)    # both ratio paths ran
+        assert res.radius == float.fromhex(radius)
+        assert res.bracket == (float.fromhex(lo), float.fromhex(hi))
+        assert (res.iterations, res.converged, res.warning) == (
+            iterations, converged, warning)
