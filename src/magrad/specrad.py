@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 import numpy as np
+import scipy.fft
 
 from .kernels import ReducedKernel, TwoSidedKernel
 
@@ -48,10 +49,12 @@ class OperatorGrid:
     FFT of the circulant that embeds it (the column, then the row reversed
     without its first entry), computed once when the grid is built.  A
     matvec is then one rfft of v zero-padded to p = 2n-1, a product with the
-    spectrum and one irfft, cut back to n entries.  p stays 2n-1, the length
-    `scipy.linalg.matmul_toeplitz` uses, because at that length the product
-    is bit for bit scipy's, on which every pinned radius rests; a fast
-    length such as 2n would be cheaper but moves those last bits.
+    spectrum and one irfft, cut back to n entries.  The transforms are
+    `scipy.fft`'s and p stays 2n-1, the library and the length
+    `scipy.linalg.matmul_toeplitz` uses, so the product is bit for bit
+    scipy's, on which every pinned radius rests.  A fast length such as 2n
+    would be cheaper, but it moves those last bits, and so can `numpy.fft`,
+    a separate FFT build whose rounding has changed between numpy versions.
     """
 
     n: int
@@ -68,12 +71,12 @@ class OperatorGrid:
             embedded = np.concatenate((col, row[-1:0:-1]))
             if not np.isfinite(embedded).all():
                 raise InvalidKernelError("non-finite kernel sample")
-            self.spectrum = np.fft.rfft(embedded)
+            self.spectrum = scipy.fft.rfft(embedded)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         if self.spectrum is not None:
             p = 2 * self.n - 1
-            return np.fft.irfft(self.spectrum * np.fft.rfft(v, n=p), n=p)[:self.n]
+            return scipy.fft.irfft(self.spectrum * scipy.fft.rfft(v, n=p), n=p)[:self.n]
         return self.matrix @ v
 
     @property
@@ -179,11 +182,8 @@ def power_iteration_hopf(grid: OperatorGrid, tol: float = 1e-8,
             brackets.append((0.0, 0.0))
             return RadiusResult(radius=0.0, bracket=(0.0, 0.0), iterations=k + 1,
                                 eigvec=v, brackets=brackets, n=n)
-        if v.min() > 0.0:
-            ratios = w / v
-        else:                       # zero entries of v carry no ratio
-            mask = v > 0
-            ratios = w[mask] / v[mask]
+        mask = v > 0                # zero entries of v carry no ratio
+        ratios = w[mask] / v[mask]
         nlo, nhi = _widen(float(ratios.min()), float(ratios.max()))
         nlo, nhi = max(nlo, lo, 0.0), min(nhi, hi)
         if nlo > nhi:

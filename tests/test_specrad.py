@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.linalg import matmul_toeplitz
 
 from magrad import specrad
@@ -92,8 +93,8 @@ class TestToeplitzMatvec:
     def test_one_forward_fft_per_matvec(self, monkeypatch):
         g = discretize(plain_reduced_kernel(2, Fraction(2, 7)).two_sided(), 256)
         calls = []
-        rfft = np.fft.rfft
-        monkeypatch.setattr(np.fft, "rfft",
+        rfft = scipy.fft.rfft
+        monkeypatch.setattr(scipy.fft, "rfft",
                             lambda *a, **kw: calls.append(1) or rfft(*a, **kw))
         v = np.ones(g.n)
         for _ in range(5):
@@ -308,6 +309,10 @@ class TestPinnedBits:
     # is triangular and FFT noise leaves iterates with exact zero entries on
     # some steps only.  (class, p-1, lam, n, radius, bracket, iterations,
     # converged, warning) of `power_iteration_hopf(discretize(two, n))`.
+    # These lock in the current output, not true radii: a strictly triangular
+    # grid has radius 0, and every bracket here but the first excludes it
+    # (the FOUND line on triangular grids in CHANGES.md).  Mending that
+    # defect moves these values, which must then be recorded again.
     ZERO_ENTRY_CASES = [
         ("plain", 0, "0", 3, "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", 3, True, None),
         ("plain", 0, "0", 256, "0x1.8d64553c290eep-6", "0x1.7ccab5fc777d6p-6",
@@ -340,7 +345,7 @@ class TestPinnedBits:
 
         monkeypatch.setattr(OperatorGrid, "matvec", recording)
         res = power_iteration_hopf(g)
-        assert any(has_zero) and not all(has_zero)    # both ratio paths ran
+        assert any(has_zero) and not all(has_zero)    # iterates with and without zeros
         assert res.radius == float.fromhex(radius)
         assert res.bracket == (float.fromhex(lo), float.fromhex(hi))
         assert (res.iterations, res.converged, res.warning) == (
