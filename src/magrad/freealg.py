@@ -133,14 +133,6 @@ class LambdaPoly:
         """Evaluate at ``lam`` (Fraction for exact, float for numeric)."""
         return horner(self.coeffs, lam)
 
-    def compose_affine(self, c0, c1) -> "LambdaPoly":
-        """Substitute ``lam -> c0 + c1*lam`` (exact)."""
-        arg = LambdaPoly((c0, c1))
-        acc = LambdaPoly()
-        for c in reversed(self.coeffs):
-            acc = acc * arg + LambdaPoly.const(c)
-        return acc
-
     def __repr__(self):
         return f"LambdaPoly({list(self.coeffs)!r})"
 
@@ -276,11 +268,11 @@ def _check_degree(k: int):
         raise DegreeError(f"degree {k} outside [1, {DEFAULT_MAX_DEGREE}]")
 
 
-def _perm_sum(k: int, head: tuple = (), tail: tuple = ()) -> NCPoly:
+def _perm_sum(k: int, head: tuple = ()) -> NCPoly:
     """Sum of the words s in S_k, weighted by lam^asc * (lam-1)^des of the
-    sequence head + s + tail (distinct by construction, so left unchecked)."""
+    sequence head + s (distinct by construction, so left unchecked)."""
     _check_degree(k)
-    return NCPoly({s: _weight(*_asc_des(head + s + tail))
+    return NCPoly({s: _weight(*_asc_des(head + s))
                    for s in permutations(range(1, k + 1))})
 
 

@@ -1,8 +1,11 @@
-"""Exact rational simplex (two-phase, Bland's rule) with dual certificates.
+"""Exact rational simplex with dual certificates.
 
-Solves  min c^T x  s.t.  A x = b, x >= 0  entirely over `fractions.Fraction`.
-Instances here are tiny (tens of rows, a few hundred columns), so a dense
-tableau is fine; Bland's rule guarantees termination.
+Solves  min c^T x  s.t.  A x = b, x >= 0  entirely over `fractions.Fraction`,
+in one phase: the start basis is one unit column per row, which every LP
+built here has (its monomial columns).  Pivots follow Dantzig's rule,
+switching to Bland's rule after a run of degenerate pivots, so termination
+is guaranteed.  Instances are small (at most 120 rows and 840 columns, at
+degree 5), so a dense tableau is fine.
 """
 
 from __future__ import annotations
@@ -12,10 +15,6 @@ from fractions import Fraction
 
 
 class SimplexError(RuntimeError):
-    pass
-
-
-class Infeasible(SimplexError):
     pass
 
 
@@ -57,7 +56,7 @@ def _reduced_costs(rows, basis, costs, ncols):
 _BLAND_AFTER = 40  # degenerate pivots tolerated before switching to Bland's rule
 
 
-def _optimize(rows, zrow, basis, allowed):
+def _optimize(rows, zrow, basis):
     """Pivot loop: Dantzig rule, falling back to Bland's rule on stalls.
 
     Dantzig's most-negative-coefficient rule keeps iteration counts low;
@@ -71,12 +70,12 @@ def _optimize(rows, zrow, basis, allowed):
         if stalled < _BLAND_AFTER:
             best_z = 0
             for j in range(ncols):
-                if allowed[j] and zrow[j] < best_z:
+                if zrow[j] < best_z:
                     best_z = zrow[j]
                     enter = j
         else:
             for j in range(ncols):
-                if allowed[j] and zrow[j] < 0:
+                if zrow[j] < 0:
                     enter = j
                     break
         if enter < 0:
@@ -101,68 +100,35 @@ def simplex_min(A, b, c) -> SimplexResult:
     """Solve min c.x s.t. A x = b, x >= 0 exactly.
 
     A is a list of m rows (each a sequence of n Fractions); b has length m,
-    c length n.  Returns optimal value, a primal solution, and dual values
-    that certify optimality (redundant rows get dual value 0).
+    c length n.  Once the rows with b_i < 0 are negated, every row i must
+    have a column equal to the unit vector e_i; the first such column starts
+    in the basis, so the start is feasible and no phase 1 is needed.
+    Returns optimal value, a primal solution, and dual values that certify
+    optimality.
     """
     m, n = len(A), len(c)
+    flipped = [Fraction(bi) < 0 for bi in b]
     rows = []
-    bs = []
-    rowmap = list(range(m))
     for i in range(m):
-        bi = Fraction(b[i])
-        row = [Fraction(v) for v in A[i]]
-        if bi < 0:
-            bi = -bi
-            row = [-v for v in row]
-        rows.append(row)
-        bs.append(bi)
+        row = [Fraction(v) for v in A[i]] + [Fraction(b[i])]
+        rows.append([-v for v in row] if flipped[i] else row)
+    start = [next((j for j in range(n) if rows[i][j] == 1
+                   and sum(1 for r in rows if r[j]) == 1), None) for i in range(m)]
+    if None in start:
+        raise SimplexError(f"row {start.index(None)} has no unit column to start from")
 
-    # phase 1: artificial columns n..n+m-1
-    total = n + m
-    for i in range(m):
-        rows[i] = rows[i] + [Fraction(1) if k == i else Fraction(0) for k in range(m)]
-        rows[i].append(bs[i])
-    basis = list(range(n, n + m))
-    costs1 = [Fraction(0)] * n + [Fraction(1)] * m
-    zrow = _reduced_costs(rows, basis, costs1, total)
-    allowed = [True] * n + [False] * m
-    _optimize(rows, zrow, basis, allowed)
-    if -zrow[-1] != 0:
-        raise Infeasible("phase-1 optimum positive")
-
-    # drive remaining artificial variables out of the basis
-    drop = []
-    for i in range(m):
-        if basis[i] >= n:
-            s = next((j for j in range(n) if rows[i][j] != 0), None)
-            if s is None:
-                drop.append(i)          # redundant constraint
-            else:
-                basis[i] = s
-                _pivot(rows, zrow, i, s)
-    if drop:
-        keep = [i for i in range(m) if i not in set(drop)]
-        rows = [rows[i] for i in keep]
-        basis = [basis[i] for i in keep]
-        rowmap = [rowmap[i] for i in keep]
-
-    # phase 2
-    costs2 = [Fraction(v) for v in c] + [Fraction(0)] * m
-    zrow = _reduced_costs(rows, basis, costs2, total)
-    _optimize(rows, zrow, basis, allowed)
+    costs = [Fraction(v) for v in c]
+    basis = list(start)
+    zrow = _reduced_costs(rows, basis, costs, n)
+    _optimize(rows, zrow, basis)
 
     x = [Fraction(0)] * n
     for i, bi in enumerate(basis):
         x[bi] = rows[i][-1]
-    value = sum((costs2[j] * x[j] for j in range(n)), Fraction(0))
-    # duals read off the artificial columns: reduced cost there is -y_i
-    y = [Fraction(0)] * m
-    for i_orig in rowmap:
-        y[i_orig] = -zrow[n + i_orig]
-    # account for the row sign flips done for b >= 0
-    for i in range(m):
-        if Fraction(b[i]) < 0:
-            y[i] = -y[i]
+    value = sum((costs[j] * x[j] for j in range(n)), Fraction(0))
+    # a start column u = e_i has reduced cost c_u - y_i; undo the row flips
+    y = [costs[u] - zrow[u] for u in start]
+    y = [-yi if f else yi for yi, f in zip(y, flipped)]
     return SimplexResult(value=value, x=x, y=y, basis=list(basis))
 
 

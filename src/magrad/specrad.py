@@ -165,10 +165,24 @@ def _widen(lo: float, hi: float) -> tuple:
 
 def power_iteration_hopf(grid: OperatorGrid, tol: float = 1e-8,
                          max_iter: Optional[int] = None) -> RadiusResult:
-    """Power iteration with nested averaging brackets around the radius."""
+    """Power iteration with nested averaging brackets around the radius.
+
+    A triangular Toeplitz grid (a two-sided kernel at lam = 0 or 1, where one
+    branch vanishes) is answered without iterating: its radius is the
+    diagonal entry, with eigenvector e_1 (upper) or e_n (lower triangular).
+    Iterating there would only amplify the FFT round-off below the support.
+    """
     if max_iter is None:
         max_iter = 10 * grid.n
     n = grid.n
+    if grid.toeplitz is not None:
+        col, row = grid.toeplitz
+        upper = not col[1:].any()
+        if upper or not row[1:].any():
+            r = float(col[0])
+            v = np.zeros(n)
+            v[0 if upper else -1] = 1.0
+            return RadiusResult(radius=r, bracket=(r, r), iterations=0, eigvec=v, n=n)
     v = np.ones(n)
     lo, hi = 0.0, np.inf
     brackets = []

@@ -87,14 +87,6 @@ class ConvexityClass:
         """The ell^1 (general Banach algebra) cost model, kappa = 1."""
         return cls(None, Fraction(1), Fraction(1))
 
-    @classmethod
-    def with_kappa(cls, kappa) -> "ConvexityClass":
-        """Exact rational override for the cross cost."""
-        kappa = Fraction(kappa)
-        if not Fraction(1, 2) <= kappa <= 1:
-            raise ValueError("kappa must lie in [1/2, 1]")
-        return cls(None, kappa, kappa)
-
     def __post_init__(self):
         if not Fraction(1, 2) <= self.kappa_lo <= self.kappa_hi <= 1:
             raise ValueError("kappa enclosure must lie in [1/2, 1]")
@@ -382,6 +374,11 @@ def _solve_at_kappa(target: NCPoly, columns: list[Column], rows: list[Word],
     duals: dict[Word, Fraction] = {}
     basis_all: list = []
     col_index = {id(c): i for i, c in enumerate(columns)}
+    # Each row word is an arrangement of the target's letters, so it has a
+    # monomial column: the kappa = 3/4 dedup in `_columns_cached` keeps it
+    # over any single-word column with a Xi node, whose coefficient is at
+    # most 1/2, so it costs at least 3/2 there.  Its x+/x- pair gives every
+    # row the unit column `simplex_min` starts from, whatever the sign of b.
     for comp in _components(target, columns, rows):
         crows, ccols = comp["rows"], comp["cols"]
         m, k = len(crows), len(ccols)
@@ -415,8 +412,9 @@ def _solve_at_kappa(target: NCPoly, columns: list[Column], rows: list[Word],
 def fa_norm_exact(x: NCPoly, cls: ConvexityClass) -> NormValue:
     """Universal norm by exact LP; enclosure when kappa is irrational.
 
-    Feasibility is guaranteed (monomials alone span), so an infeasible LP
-    signals an internal error.  The optimum never exceeds the ell^1 norm.
+    Feasibility is guaranteed (monomials alone span, and start the simplex),
+    so a missing start column signals an internal error.  The optimum never
+    exceeds the ell^1 norm.
     """
     if not x:
         return NormValue(Fraction(0), Fraction(0))

@@ -88,6 +88,15 @@ class TestKernelRadius:
         lo, hi = data["bracket"]
         assert lo <= data["radius"] <= hi and data["n"] == 256
 
+    def test_radius_of_triangular_grid(self, capsys):
+        # one branch of the kernel vanishes at lam = 0 and 1
+        for lam, want in (("0", 0.0), ("1", 1 / 256)):
+            code, out = run(capsys, "radius", "--p-minus-1", "0",
+                            "--lambda", lam, "--n", "256")
+            data = json.loads(out)
+            assert code == 0 and data["converged"]
+            assert data["bracket"] == [want, want] and data["radius"] == want
+
 
 class TestBound:
     def test_pth_root(self, capsys):

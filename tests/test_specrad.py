@@ -197,6 +197,14 @@ class TestRadiusRefined:
         res = radius_refined(two, tol=1e-8)
         assert res.eigvec is None and res.brackets and res.n >= 256
 
+    @pytest.mark.parametrize("pm1", [0, 2, 4])
+    @pytest.mark.parametrize("lam", ["0", "1"])
+    def test_one_sided_kernel_has_radius_zero(self, pm1, lam):
+        # triangular grids at every level: the diagonal entries K(0)/n
+        # extrapolate to the true radius 0
+        res = radius_refined(plain_reduced_kernel(pm1, Fraction(lam)).two_sided())
+        assert (res.radius, res.converged, res.iterations) == (0.0, True, 0)
+
     def test_budget_exhaustion_flag(self, monkeypatch):
         monkeypatch.setattr(specrad, "REFINE_N0", 32)
         monkeypatch.setattr(specrad, "REFINE_DOUBLINGS", 1)
@@ -306,36 +314,40 @@ class TestPinnedBits:
         assert radius_refined(two, tol=1e-8).radius == float.fromhex(radius)
 
     # At lam = 0 or 1 one branch of the two-sided kernel vanishes, so the grid
-    # is triangular and FFT noise leaves iterates with exact zero entries on
-    # some steps only.  (class, p-1, lam, n, radius, bracket, iterations,
-    # converged, warning) of `power_iteration_hopf(discretize(two, n))`.
-    # These lock in the current output, not true radii: a strictly triangular
-    # grid has radius 0, and every bracket here but the first excludes it
-    # (the FOUND line on triangular grids in CHANGES.md).  Mending that
-    # defect moves these values, which must then be recorded again.
-    ZERO_ENTRY_CASES = [
-        ("plain", 0, "0", 3, "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", 3, True, None),
-        ("plain", 0, "0", 256, "0x1.8d64553c290eep-6", "0x1.7ccab5fc777d6p-6",
-         "0x1.9dfdf47bdaa05p-6", 2560, False,
-         "bracket width 0.00202638 > tol after 2560 iterations"),
-        ("plain", 0, "1", 256, "0x1.8dd821eb5b8dap-6", "0x1.740a1c4827628p-6",
-         "0x1.a7a6278e8fb8bp-6", 2560, False,
-         "bracket width 0.00315 > tol after 2560 iterations"),
-        ("plain", 2, "0", 257, "0x1.c7d163709c918p-16", "0x1.8f78c3aa24e13p-16",
-         "0x1.0015019b8a20ep-15", 2570, False,
-         "bracket width 6.71699e-06 > tol after 2570 iterations"),
-        ("plain", 2, "1", 3, "0x1.7cbf1dee944bcp-13", "0x1.c333333333332p-49",
-         "0x1.7cbf1dee86322p-12", 21, False, "floating-point noise floor reached"),
-        ("1", 3, "1", 3, "0x1.7e3999999999ap-49", "0x1.7cecccccccccbp-49",
-         "0x1.7f86666666669p-49", 18, True, None),
+    # is triangular: its radius is the diagonal entry, returned without a
+    # step, with eigenvector e_1 (upper) or e_n (lower triangular).
+    # (class, p-1, lam, n, radius, index of the eigenvector's unit entry)
+    TRIANGULAR_CASES = [
+        ("plain", 0, "0", 3, "0x0.0p+0", -1),
+        ("plain", 0, "0", 256, "0x0.0p+0", -1),
+        ("plain", 0, "1", 256, "0x1.0000000000000p-8", 0),
+        ("plain", 2, "0", 257, "0x0.0p+0", -1),
+        ("plain", 2, "1", 3, "0x0.0p+0", 0),
+        ("1", 3, "1", 3, "0x0.0p+0", 0),
     ]
 
-    @pytest.mark.parametrize("q,pm1,lam,n,radius,lo,hi,iterations,converged,warning",
-                             ZERO_ENTRY_CASES)
-    def test_zero_entry_iterates(self, monkeypatch, q, pm1, lam, n, radius, lo, hi,
-                                 iterations, converged, warning):
+    @pytest.mark.parametrize("q,pm1,lam,n,radius,unit", TRIANGULAR_CASES,
+                             ids=["-".join(map(str, c[:4])) for c in TRIANGULAR_CASES])
+    def test_triangular_grid(self, monkeypatch, q, pm1, lam, n, radius, unit):
         two = reduced_kernel(pm1, Fraction(lam), CLASSES[q]).two_sided()
         g = discretize(two, n)
+
+        def no_step(self, v):
+            raise AssertionError("a triangular grid needs no power step")
+
+        monkeypatch.setattr(OperatorGrid, "matvec", no_step)
+        res = power_iteration_hopf(g)
+        r = float.fromhex(radius)
+        assert (res.radius, res.bracket, res.iterations, res.converged, res.warning) == (
+            r, (r, r), 0, True, None)
+        want = np.zeros(n)
+        want[unit] = 1.0
+        assert np.array_equal(res.eigvec, want)
+
+    def test_zero_entry_iterates(self, monkeypatch):
+        # a dense grid with a zero row: the second iterate has a zero entry,
+        # which the masked ratio step skips
+        g = OperatorGrid.from_matrix(np.array([[0.0, 0.0], [1.0, 1.0]]))
         has_zero = []
         matvec = OperatorGrid.matvec
 
@@ -345,8 +357,8 @@ class TestPinnedBits:
 
         monkeypatch.setattr(OperatorGrid, "matvec", recording)
         res = power_iteration_hopf(g)
-        assert any(has_zero) and not all(has_zero)    # iterates with and without zeros
-        assert res.radius == float.fromhex(radius)
-        assert res.bracket == (float.fromhex(lo), float.fromhex(hi))
-        assert (res.iterations, res.converged, res.warning) == (
-            iterations, converged, warning)
+        assert has_zero == [False, True]
+        assert res.radius == 1.0
+        assert res.bracket == (float.fromhex("0x1.ffffffffffffep-1"),
+                               float.fromhex("0x1.0000000000002p+0"))
+        assert (res.iterations, res.converged, res.warning) == (2, True, None)

@@ -49,7 +49,7 @@ class TestConvexityClass:
         with pytest.raises(ValueError):
             ConvexityClass.from_q(Fraction(1, 2))
         with pytest.raises(ValueError):
-            ConvexityClass.with_kappa(Fraction(1, 4))
+            ConvexityClass(None, Fraction(1, 4), Fraction(1, 4))
 
 
 class TestXiEval:
@@ -132,7 +132,7 @@ class TestNormExact:
     def test_kappa_monotone_concave(self):
         p = eval_lambda(mu_lambda(4), HALF)
         ks = [Fraction(1, 2), Fraction(3, 4), Fraction(7, 8), Fraction(1)]
-        vals = [fa_norm_exact(p, ConvexityClass.with_kappa(k)).value for k in ks]
+        vals = [fa_norm_exact(p, ConvexityClass(None, k, k)).value for k in ks]
         assert vals == sorted(vals)
         # concavity along the evenly spaced refinement 1/2, 3/4, 1
         assert vals[1] >= (vals[0] + vals[3]) / 2
