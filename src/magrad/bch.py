@@ -246,12 +246,6 @@ class GainReport:
     conclusive: bool
     diagnostic: Optional[str] = None
 
-    def to_jsonable(self) -> dict:
-        return {"lam": self.lam, "x1": self.x[0], "x2": self.x[1],
-                "l1": self.l1, "gain": self.gain, "bound": self.bound,
-                "aligned": self.aligned, "conclusive": self.conclusive,
-                **({"diagnostic": self.diagnostic} if self.diagnostic else {})}
-
 
 def _cube_bound(t: _LamTable, cls: ConvexityClass, x1: float,
                 x2: float) -> tuple:
@@ -303,8 +297,6 @@ _S_LO, _S_HI, _S_STEP = 2.885, 2.925, 2.5e-4
 class C2ScanResult:
     value: float          # largest scanned s with sup < 1
     margin: float         # value - C2_REFERENCE
-    s_step: float
-    lam_grid: int
     sup_at_value: float
 
 
@@ -333,5 +325,5 @@ def c2_improved(cls: ConvexityClass) -> C2ScanResult:
         s += _S_STEP
     if best is None:
         raise RuntimeError("no scanned s had sup below 1")
-    return C2ScanResult(value=best, margin=best - C2_REFERENCE, s_step=_S_STEP,
-                        lam_grid=_LAM_GRID.size, sup_at_value=best_sup)
+    return C2ScanResult(value=best, margin=best - C2_REFERENCE,
+                        sup_at_value=best_sup)

@@ -333,10 +333,17 @@ def perm_sum_l1(k: int, lam, a: Optional[int] = None) -> Fraction:
 
 
 def eval_lambda(poly: NCPoly, lam) -> NCPoly:
-    """Substitute an exact rational value for lam in every coefficient."""
+    """Substitute an exact rational value for lam in every coefficient.
+
+    Each distinct coefficient is evaluated once: a permutation sum of degree
+    k has k! words but only k+1 distinct coefficients.
+    """
     lam = _as_fraction(lam)
+    seen: dict = {}
     def ev(c):
-        return c(lam) if isinstance(c, LambdaPoly) else Fraction(c)
+        if c not in seen:
+            seen[c] = c(lam) if isinstance(c, LambdaPoly) else Fraction(c)
+        return seen[c]
     return poly.map_coeffs(ev)
 
 

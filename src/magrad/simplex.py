@@ -4,8 +4,10 @@ Solves  min c^T x  s.t.  A x = b, x >= 0  entirely over `fractions.Fraction`,
 in one phase: the start basis is one unit column per row, which every LP
 built here has (its monomial columns).  Pivots follow Dantzig's rule,
 switching to Bland's rule after a run of degenerate pivots, so termination
-is guaranteed.  Instances are small (at most 120 rows and 840 columns, at
-degree 5), so a dense tableau is fine.
+is guaranteed.  The data stay sparse throughout: A and every tableau row map
+a column to its nonzero entries, so a pivot touches only the rows with a
+nonzero in the pivot column and, in each, only the pivot row's nonzeros.
+Only the reduced-cost row is dense.
 """
 
 from __future__ import annotations
@@ -31,26 +33,22 @@ class SimplexResult:
 
 
 def _pivot(rows, zrow, r, s):
-    piv = rows[r][s]
-    inv = 1 / piv
-    rows[r] = [v * inv for v in rows[r]]
     prow = rows[r]
-    for i in range(len(rows)):
-        if i != r and rows[i][s]:
-            f = rows[i][s]
-            rows[i] = [a - f * p for a, p in zip(rows[i], prow)]
-    if zrow[s]:
-        f = zrow[s]
-        zrow[:] = [a - f * p for a, p in zip(zrow, prow)]
-
-
-def _reduced_costs(rows, basis, costs, ncols):
-    z = list(costs[:ncols]) + [Fraction(0)]
-    for i, bi in enumerate(basis):
-        cb = costs[bi]
-        if cb:
-            z = [a - cb * v for a, v in zip(z, rows[i])]
-    return z
+    inv = 1 / prow[s]
+    for j in prow:
+        prow[j] *= inv
+    for i, row in enumerate(rows):
+        if i != r and (f := row.get(s)):
+            for j, p in prow.items():
+                v = row.get(j, 0) - f * p
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+    f = zrow[s]
+    if f:
+        for j, p in prow.items():
+            zrow[j] -= f * p
 
 
 _BLAND_AFTER = 40  # degenerate pivots tolerated before switching to Bland's rule
@@ -82,9 +80,9 @@ def _optimize(rows, zrow, basis):
             return
         leave, best = -1, None
         for i, row in enumerate(rows):
-            a = row[enter]
+            a = row.get(enter, 0)
             if a > 0:
-                ratio = row[-1] / a
+                ratio = row.get(ncols, 0) / a
                 if best is None or ratio < best or (
                     ratio == best and basis[i] < basis[leave]
                 ):
@@ -99,55 +97,71 @@ def _optimize(rows, zrow, basis):
 def simplex_min(A, b, c) -> SimplexResult:
     """Solve min c.x s.t. A x = b, x >= 0 exactly.
 
-    A is a list of m rows (each a sequence of n Fractions); b has length m,
-    c length n.  Once the rows with b_i < 0 are negated, every row i must
-    have a column equal to the unit vector e_i; the first such column starts
-    in the basis, so the start is feasible and no phase 1 is needed.
-    Returns optimal value, a primal solution, and dual values that certify
-    optimality.
+    A is a list of m sparse rows, each a dict mapping a column index in
+    range(n) to its nonzero entry; b has length m, c length n.  Once the rows
+    with b_i < 0 are negated, every row i must have a column equal to the
+    unit vector e_i; the lowest such column starts in the basis, so the start
+    is feasible and no phase 1 is needed.  Returns optimal value, a primal
+    solution, and dual values that certify optimality.
     """
-    m, n = len(A), len(c)
-    flipped = [Fraction(bi) < 0 for bi in b]
+    n = len(c)
+    flipped = [bi < 0 for bi in b]
     rows = []
-    for i in range(m):
-        row = [Fraction(v) for v in A[i]] + [Fraction(b[i])]
-        rows.append([-v for v in row] if flipped[i] else row)
-    start = [next((j for j in range(n) if rows[i][j] == 1
-                   and sum(1 for r in rows if r[j]) == 1), None) for i in range(m)]
+    for ai, bi, f in zip(A, b, flipped):
+        sign = -1 if f else 1
+        row = {j: sign * Fraction(v) for j, v in ai.items() if v}
+        if bi:
+            row[n] = sign * Fraction(bi)   # right-hand side under key n
+        rows.append(row)
+    nnz = [0] * (n + 1)
+    for row in rows:
+        for j in row:
+            nnz[j] += 1
+    start = [min((j for j, v in row.items() if j < n and v == 1 and nnz[j] == 1),
+                 default=None) for row in rows]
     if None in start:
         raise SimplexError(f"row {start.index(None)} has no unit column to start from")
 
     costs = [Fraction(v) for v in c]
+    zrow = costs + [Fraction(0)]
+    for row, u in zip(rows, start):
+        if costs[u]:
+            for j, v in row.items():
+                zrow[j] -= costs[u] * v
     basis = list(start)
-    zrow = _reduced_costs(rows, basis, costs, n)
     _optimize(rows, zrow, basis)
 
     x = [Fraction(0)] * n
-    for i, bi in enumerate(basis):
-        x[bi] = rows[i][-1]
-    value = sum((costs[j] * x[j] for j in range(n)), Fraction(0))
+    for row, bi in zip(rows, basis):
+        x[bi] = row.get(n, Fraction(0))
+    value = sum((costs[j] * x[j] for j in basis), Fraction(0))
     # a start column u = e_i has reduced cost c_u - y_i; undo the row flips
     y = [costs[u] - zrow[u] for u in start]
     y = [-yi if f else yi for yi, f in zip(y, flipped)]
-    return SimplexResult(value=value, x=x, y=y, basis=list(basis))
+    return SimplexResult(value=value, x=x, y=y, basis=basis)
 
 
 def verify_certificate(A, b, c, res: SimplexResult) -> bool:
-    """Exact primal/dual optimality check, independent of the solve path."""
-    m, n = len(A), len(c)
-    for j in range(n):
-        if res.x[j] < 0:
+    """Exact primal/dual optimality check, independent of the solve path.
+
+    One pass over each sparse row of A accumulates both A x and the reduced
+    costs c - A^T y.
+    """
+    x, y = res.x, res.y
+    if len(x) != len(c) or len(y) != len(A) or any(xj < 0 for xj in x):
+        return False
+    red = list(c)
+    for row, bi, yi in zip(A, b, y):
+        lhs = 0
+        for j, a in row.items():
+            if x[j]:
+                lhs += a * x[j]
+            if yi:
+                red[j] -= yi * a
+        if lhs != bi:
             return False
-    for i in range(m):
-        lhs = sum((Fraction(A[i][j]) * res.x[j] for j in range(n)), Fraction(0))
-        if lhs != Fraction(b[i]):
-            return False
-    for j in range(n):
-        red = Fraction(c[j]) - sum(
-            (res.y[i] * Fraction(A[i][j]) for i in range(m)), Fraction(0)
-        )
-        if red < 0:
-            return False
-    primal = sum((Fraction(c[j]) * res.x[j] for j in range(n)), Fraction(0))
-    dual = sum((res.y[i] * Fraction(b[i]) for i in range(m)), Fraction(0))
+    if any(r < 0 for r in red):
+        return False
+    primal = sum(cj * xj for cj, xj in zip(c, x) if xj)
+    dual = sum(yi * bi for yi, bi in zip(y, b))
     return primal == dual == res.value

@@ -283,7 +283,12 @@ def enumerate_quasimonomials(degree: int, generators: Sequence[int]) -> list[Qua
 
 @dataclass
 class NormCertificate:
-    """Primal/dual pair for one kappa endpoint, verifiable exactly."""
+    """Primal/dual pair for one kappa endpoint, verifiable exactly.
+
+    `coefficients` maps a column index j to its weight x+ - x-, `duals` a row
+    word to its dual value, and `basis` lists the optimal basic LP columns,
+    one per row: 2j is x+ and 2j+1 is x- of column j.
+    """
 
     kappa: Fraction
     value: Fraction
@@ -339,74 +344,31 @@ class NormValue:
         return NormValue(self.lo * c, self.hi * c, self.certificates)
 
 
-def _components(target: NCPoly, columns: Sequence[Column], rows: Sequence[Word]):
-    """Split rows/columns along connected support components."""
-    parent = {w: w for w in rows}
-
-    def find(w):
-        while parent[w] != w:
-            parent[w] = parent[parent[w]]
-            w = parent[w]
-        return w
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for col in columns:
-        ws = list(col.poly.terms)
-        for w in ws[1:]:
-            union(ws[0], w)
-    groups: dict[Word, dict] = {}
-    for w in rows:
-        groups.setdefault(find(w), {"rows": [], "cols": []})["rows"].append(w)
-    for col in columns:
-        root = find(next(iter(col.poly.terms)))
-        groups[root]["cols"].append(col)
-    return [g for g in groups.values() if any(target.terms.get(w) for w in g["rows"])]
-
-
 def _solve_at_kappa(target: NCPoly, columns: list[Column], rows: list[Word],
                     kappa: Fraction) -> tuple[Fraction, NormCertificate]:
-    total = Fraction(0)
-    coeffs: dict[int, Fraction] = {}
-    duals: dict[Word, Fraction] = {}
-    basis_all: list = []
-    col_index = {id(c): i for i, c in enumerate(columns)}
-    # Each row word is an arrangement of the target's letters, so it has a
-    # monomial column: the kappa = 3/4 dedup in `_columns_cached` keeps it
-    # over any single-word column with a Xi node, whose coefficient is at
-    # most 1/2, so it costs at least 3/2 there.  Its x+/x- pair gives every
-    # row the unit column `simplex_min` starts from, whatever the sign of b.
-    for comp in _components(target, columns, rows):
-        crows, ccols = comp["rows"], comp["cols"]
-        m, k = len(crows), len(ccols)
-        A = [[Fraction(0)] * (2 * k) for _ in range(m)]
-        for j, col in enumerate(ccols):
-            for w, cv in col.poly.terms.items():
-                i = crows.index(w)
-                A[i][2 * j] = cv
-                A[i][2 * j + 1] = -cv
-        b = [Fraction(target.terms.get(w, 0)) for w in crows]
-        c = []
-        for col in ccols:
-            gamma = col.cost(kappa)
-            c.extend([gamma, gamma])
-        res = simplex_min(A, b, c)
-        if not verify_certificate(A, b, c, res):
-            raise AssertionError("exact LP certificate failed to verify")
-        total += res.value
-        for j, col in enumerate(ccols):
-            v = res.x[2 * j] - res.x[2 * j + 1]
-            if v:
-                coeffs[col_index[id(col)]] = v
-        for i, w in enumerate(crows):
-            duals[w] = res.y[i]
-        basis_all.extend(res.basis)
-    cert = NormCertificate(kappa=kappa, value=total, coefficients=coeffs,
-                           duals=duals, basis=basis_all)
-    return total, cert
+    # LP column 2j is x+ and 2j+1 is x- of `columns[j]`.  Each row word is an
+    # arrangement of the target's letters, so it has a monomial column: the
+    # kappa = 3/4 dedup in `_columns_cached` keeps it over any single-word
+    # column with a Xi node, whose coefficient is at most 1/2, so it costs at
+    # least 3/2 there.  Its x+/x- pair gives every row the unit column
+    # `simplex_min` starts from, whatever the sign of b.
+    row_of = {w: i for i, w in enumerate(rows)}
+    A: list[dict] = [{} for _ in rows]
+    c = []
+    for j, col in enumerate(columns):
+        for w, cv in col.poly.terms.items():
+            A[row_of[w]].update({2 * j: cv, 2 * j + 1: -cv})
+        gamma = col.cost(kappa)
+        c += [gamma, gamma]
+    b = [Fraction(target.terms.get(w, 0)) for w in rows]
+    res = simplex_min(A, b, c)
+    if not verify_certificate(A, b, c, res):
+        raise AssertionError("exact LP certificate failed to verify")
+    coeffs = {j: v for j in range(len(columns))
+              if (v := res.x[2 * j] - res.x[2 * j + 1])}
+    cert = NormCertificate(kappa=kappa, value=res.value, coefficients=coeffs,
+                           duals=dict(zip(rows, res.y)), basis=res.basis)
+    return res.value, cert
 
 
 def fa_norm_exact(x: NCPoly, cls: ConvexityClass) -> NormValue:

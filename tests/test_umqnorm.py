@@ -172,6 +172,17 @@ class TestNormExact:
         dual_val = sum(cert.duals[w] * c for w, c in p.terms.items())
         assert dual_val == v.value
 
+    @pytest.mark.parametrize("cls", [Q1, Q2], ids=["q1", "q2"])
+    def test_certificate_basis_is_one_lp_column_per_row(self, cls):
+        # mu_ab(0, 4) at lam = 1/3 splits into several support components,
+        # all solved as one LP: column 2j is x+ and 2j+1 is x- of column j
+        p = eval_lambda(mu_ab(0, 4), Fraction(1, 3))
+        cols = _columns_cached(4, (1, 2, 3, 4))
+        rows = {w for col in cols for w in col.poly.terms}
+        for cert in fa_norm_exact(p, cls).certificates:
+            assert len(cert.basis) == len(set(cert.basis)) == len(rows)
+            assert all(0 <= e < 2 * len(cols) for e in cert.basis)
+
 
 class TestNormUpper:
     def test_empty_cross_terms_is_l1(self):
@@ -267,7 +278,6 @@ class TestTheta:
                 assert theta_ab(*ab, lam, Q1).value == formula(*ab, lam)
 
 
-@pytest.mark.slow
 def test_degree5_exact_norm_frozen():
     """One full-size exact LP: the largest instance the solver must handle."""
     v = theta_ab(0, 5, HALF, Q1)
