@@ -76,6 +76,13 @@ class UpsilonL1:
     x: tuple
 
 
+@lru_cache(maxsize=None)
+def _component_factors() -> tuple:
+    """(c2^2, c3): the coefficients of the (3,5) cross-term words."""
+    c = resolvent_series(3)
+    return c[2] * c[2], c[3]
+
+
 @dataclass(frozen=True)
 class _LamTable:
     """Per-lam columns: |c_n(lam)| for n <= _N, c2^2, c3, lam(1-lam), its cube."""
@@ -106,7 +113,7 @@ def _lam_table(lams) -> _LamTable:
         raise ValueError("lam must lie in [0, 1]")
     mus = [min(l, 1.0 - l) for l in lams]
     c = resolvent_series(_N)
-    c2sq_p, c3_p = _component_factors(False)
+    c2sq_p, c3_p = _component_factors()
     pref = np.array([l * (1.0 - l) for l in lams])
     return _LamTable(abs_c=np.array([[abs(cn(m)) for m in mus] for cn in c]),
                      c2sq=np.array([c2sq_p(m) for m in mus]),
@@ -159,27 +166,16 @@ def upsilon_l1(lam: float, x1: float, x2: float) -> UpsilonL1:
     return UpsilonL1(*map(float, sums), conclusive=bool(ok), lam=lam, x=(x1, x2))
 
 
-@dataclass
-class PowerComponent:
-    """Fixed-bidegree slice of Ups^n, common prefactor carried symbolically.
-
-    `poly` maps alternating words over letters {1, 2} to products of the
-    resolvent coefficients; the omitted common factor is
-    lam^n (1-lam)^n x1^d1 x2^d2.
-    """
-
-    n: int
-    degrees: tuple
-    poly: NCPoly
-
-
-def upsilon_power_component(n: int, degrees: tuple) -> PowerComponent:
+def upsilon_power_component(n: int, degrees: tuple) -> NCPoly:
     """Expand the (d1, d2) block-word component of Ups^n.
 
-    Each factor of Ups contributes one Y1-block and one Y2-block of length
-    >= 1, so patterns exist only when d1, d2 >= n; otherwise the component
-    is the empty polynomial.  Blocks are at most max(d1, d2) long, and c_k
-    does not depend on the truncation order once that is at least k.
+    The result maps alternating words over letters {1, 2} to products of
+    the resolvent coefficients; the omitted common factor is
+    lam^n (1-lam)^n x1^d1 x2^d2.  Each factor of Ups contributes one
+    Y1-block and one Y2-block of length >= 1, so patterns exist only when
+    d1, d2 >= n; otherwise the component is the empty polynomial.  Blocks
+    are at most max(d1, d2) long, and c_k does not depend on the truncation
+    order once that is at least k.
     """
     d1, d2 = degrees
     c = resolvent_series(max(d1, d2))
@@ -194,7 +190,7 @@ def upsilon_power_component(n: int, degrees: tuple) -> PowerComponent:
                     word.extend([2] * j_k)
                     coeff = coeff * c[i_k] * c[j_k]
                 terms[tuple(word)] = coeff
-    return PowerComponent(n=n, degrees=(d1, d2), poly=NCPoly(terms))
+    return NCPoly(terms)
 
 
 # the four degree-(3,5) words reachable by one cross operation, and its mirror
@@ -210,28 +206,15 @@ def cross_term_53() -> QuasiMonomial:
     return prod([y1, xi(y1, prod([y2, y1]), y2, y1), y1, y2])
 
 
-@lru_cache(maxsize=None)
-def _aligned_words(mirror: bool) -> tuple:
-    """((w_plus1, w_plus2, w_plus3), w_minus) from the cross-term support."""
-    ct = (cross_term_53() if mirror else cross_term_35()).evaluate()
+def _aligned_words() -> tuple:
+    """((w_plus1, w_plus2, w_plus3), w_minus) from the (3,5) cross-term
+    support."""
+    ct = cross_term_35().evaluate()
     plus = tuple(sorted(w for w, cv in ct.terms.items() if cv > 0))
     minus = [w for w, cv in ct.terms.items() if cv < 0]
     if len(plus) != 3 or len(minus) != 1:
         raise AssertionError("cross term must hit three aligned words and one opposed")
     return plus, minus[0]
-
-
-@lru_cache(maxsize=None)
-def _component_factors(mirror: bool) -> tuple:
-    """(c2^2, c3) verified against the expanded component's coefficients."""
-    d = (5, 3) if mirror else (3, 5)
-    comp = upsilon_power_component(3, d)
-    plus, minus = _aligned_words(mirror)
-    c = resolvent_series(5)
-    c2sq, c3 = c[2] * c[2], c[3]
-    if any(comp.poly.coeff(w) != c2sq for w in plus) or comp.poly.coeff(minus) != c3:
-        raise AssertionError("cross-word coefficients differ from c2^2 and c3")
-    return c2sq, c3
 
 
 @dataclass

@@ -89,7 +89,7 @@ def cmd_theta(args) -> int:
             return 2
         val = theta_ab(args.a, args.b, lam, cls)
     if args.format == "text":
-        print(val if val.exact else f"[{float(val.lo)!r}, {float(val.hi)!r}]")
+        print(val)
         return 0
     _emit({"theta": _norm_payload(val), "lam": str(lam),
            "q": cls.describe(), "k": args.k, "a": args.a, "b": args.b}, args)

@@ -6,14 +6,14 @@ Words are tuples of 1-based generator indices; coefficients are either
 weight each monomial ``Y_{s(1)}...Y_{s(m)}`` by ``lam^asc * (lam-1)^des``,
 where the ascent/descent counts may include half-integer boundary markers.
 
-The ell^1 norm of such a sum at a rational lam needs no per-lam polynomial:
-every coefficient is lam^j * (lam-1)^(n-j) with n the number of
-transitions, so the norm is sum_j N(j) |lam|^j |lam-1|^(n-j), where N(j)
-counts the permutations with j ascents.  `perm_sum_l1` takes N from one
-lam-independent table per degree k, counting the s in S_k by first letter
-s(1) and ascents of s.  The table serves every marker a+1/2: the marker
-transition is an ascent exactly when s(1) > a.  Each new lam then costs O(k)
-exact operations instead of k! polynomial evaluations.
+The ell^1 norm of a marked sum mu_ab(a, k-a) at a rational lam needs no
+per-lam polynomial: every coefficient is lam^j * (lam-1)^(k-j), so the norm
+is sum_j N(j) |lam|^j |lam-1|^(k-j), where N(j) counts the words with j
+ascents.  `perm_sum_l1` takes N from one lam-independent table per degree k,
+counting the s in S_k by first letter s(1) and ascents of s.  The table
+serves every marker a+1/2: the marker transition is an ascent exactly when
+s(1) > a.  Each new lam then costs O(k) exact operations instead of k!
+polynomial evaluations.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .series import horner
 
@@ -253,14 +253,9 @@ def _asc_des(vals: Sequence) -> tuple[int, int]:
     return asc, len(vals) - 1 - asc
 
 
-_weight_cache: dict[tuple[int, int], LambdaPoly] = {}
-
-
+@lru_cache(maxsize=None)
 def _weight(asc: int, des: int) -> LambdaPoly:
-    w = _weight_cache.get((asc, des))
-    if w is None:
-        w = _weight_cache[(asc, des)] = LAM ** asc * LAM_MINUS_ONE ** des
-    return w
+    return LAM ** asc * LAM_MINUS_ONE ** des
 
 
 def _check_degree(k: int):
@@ -305,31 +300,30 @@ def _ascent_table(k: int) -> tuple:
     return tuple(map(tuple, table))
 
 
-def _ascent_counts(k: int, a: Optional[int]) -> list[int]:
-    """N(j), j = 0..n: words of mu_lambda(k) (a None, n = k-1) or of
-    mu_ab(a, k-a) (n = k) whose weight is lam^j * (lam-1)^(n-j)."""
-    counts = [0] * (k if a is None else k + 1)
+def _ascent_counts(k: int, a: int) -> list[int]:
+    """N(j), j = 0..k: words of mu_ab(a, k-a) whose weight is
+    lam^j * (lam-1)^(k-j)."""
+    counts = [0] * (k + 1)
     for f, row in enumerate(_ascent_table(k), start=1):
-        shift = a is not None and f > a     # the marker a+1/2 ascends to f
+        shift = f > a                       # the marker a+1/2 ascends to f
         for j, c in enumerate(row):
             counts[j + shift] += c
     return counts
 
 
-def perm_sum_l1(k: int, lam, a: Optional[int] = None) -> Fraction:
-    """Exact ell^1 norm of mu_lambda(k) (a None) or mu_ab(a, k-a) at lam.
+def perm_sum_l1(k: int, lam, a: int) -> Fraction:
+    """Exact ell^1 norm of the marked sum mu_ab(a, k-a) at lam.
 
-    Equals l1_norm(eval_lambda(mu, lam)) without building the k! words.
+    Equals l1_norm(eval_lambda(mu_ab(a, k-a), lam)) without building the
+    k! words.
     """
-    if a is not None and not 0 <= a <= k:
+    if not 0 <= a <= k:
         raise DegreeError("a, b must be nonnegative")
     _check_degree(k)
     lam = _as_fraction(lam)
     x, y = abs(lam), abs(lam - 1)
-    counts = _ascent_counts(k, a)
-    n = len(counts) - 1
-    return sum((c * x ** j * y ** (n - j) for j, c in enumerate(counts)),
-               Fraction(0))
+    return sum((c * x ** j * y ** (k - j)
+                for j, c in enumerate(_ascent_counts(k, a))), Fraction(0))
 
 
 def eval_lambda(poly: NCPoly, lam) -> NCPoly:

@@ -2,15 +2,15 @@
 
 The reduced kernel of degree p-1 is
 
-    Ktilde(t) = sum_{a+b=p-1} p_ab(t) * Theta_ab
+    Ktilde(t) = sum_{a+b=p-1} (p-1)!/(a! b!) * (1-t)^a * t^b * Theta_ab,
 
-with p_ab the binomial configuration density; the two-sided kernel on [-1, 1]
-is lam*Ktilde(t) for t >= 0 and (1-lam)*Ktilde(t+1) for t < 0, used as a
-Toeplitz kernel K(t0, tp) = K(tp - t0) on the unit square.  The two branches
-agree at t = 0 for p-1 >= 1 (both equal lam*(1-lam)*Theta_{p-1}); the wrapped
-one-sided kernel, by contrast, genuinely jumps at 0, which is why t = 0 is
-assigned to the lam branch and the quadrature in `specrad` samples cell
-midpoints only.
+weighting each Theta_ab by the binomial configuration density; the two-sided
+kernel on [-1, 1] is lam*Ktilde(t) for t >= 0 and (1-lam)*Ktilde(t+1) for
+t < 0, used as a Toeplitz kernel K(t0, tp) = K(tp - t0) on the unit square.
+The two branches agree at t = 0 for p-1 >= 1 (both equal
+lam*(1-lam)*Theta_{p-1}); the wrapped one-sided kernel, by contrast,
+genuinely jumps at 0, which is why t = 0 is assigned to the lam branch and
+the quadrature in `specrad` samples cell midpoints only.
 
 The plain (ell^1) case has a generating-function oracle: Ktilde_{p-1}(t) is
 the x^(p-1) coefficient of Gt(lam*x, (1-lam)*x | t), computed by exact
@@ -30,13 +30,6 @@ from .series import factorial_fraction, horner, series_div, series_exp_linear
 from .umqnorm import PLAIN, ConvexityClass, theta_ab
 
 Number = Union[Fraction, float]
-
-
-def p_ab(a: int, b: int, t):
-    """Binomial configuration density (a+b)!/(a! b!) * (1-t)^a * t^b."""
-    if a < 0 or b < 0:
-        raise ValueError("a, b must be nonnegative")
-    return factorial_fraction(a + b, a, b) * (1 - t) ** a * t ** b
 
 
 @dataclass(frozen=True)

@@ -142,10 +142,17 @@ class BoundReport:
         return out
 
 
+def _root_bound(w: float, p: int) -> float:
+    """The radius lower bound (1/w)^(1/p); inf for a quasi-nilpotent w = 0."""
+    return math.inf if w == 0 else (1.0 / w) ** (1.0 / p)
+
+
 def _kernel_radius(p_minus_1: int, lam: Fraction, cls: ConvexityClass,
                    tol: float = 1e-8) -> float:
     """Spectral radius of the degree p-1 estimating kernel at one lam;
     UnconvergedError when the grid refinement did not settle."""
+    if p_minus_1 < 0:
+        raise ValueError("p-1 must be >= 0")
     lamF = Fraction(lam)
     if lamF in (0, 1):
         return 0.0          # one-sided support: quasi-nilpotent kernel
@@ -165,7 +172,7 @@ def c_bound_pth_root(lam, p: int, cls: ConvexityClass,
     lamF = Fraction(lam)
     r = _kernel_radius(p - 1, lamF, cls, tol=tol)
     return BoundReport(method="pth-root-kernel", q=cls.describe(),
-                       lam=float(lamF), p=p, lower=(1.0 / r) ** (1.0 / p),
+                       lam=float(lamF), p=p, lower=_root_bound(r, p),
                        details={"kernel_radius": r, "p_minus_1": p - 1})
 
 
@@ -185,7 +192,7 @@ def c_log_bound(p: int, cls: ConvexityClass, grid: int = 101,
     w_max, lam_star = refine_max(w_of, lams, ws, xatol=_LAM_TOL)
     return BoundReport(
         method="log-kernel", q=cls.describe(), p=p,
-        lower=(1.0 / w_max) ** (1.0 / p),
+        lower=_root_bound(w_max, p),
         details={"max_kernel_radius": w_max, "arg_lam": lam_star,
                  "grid": grid, "lam_tol": _LAM_TOL},
     )
@@ -243,8 +250,7 @@ def sicompar_bound(lam, p: int, cls: ConvexityClass) -> BoundReport:
     rk = reduced_kernel(p - 1, lamF, cls)
     w_up = float(max(lamF, 1 - lamF)) * float(rk.integral01())
     return BoundReport(method="sicompar", q=cls.describe(), lam=float(lamF), p=p,
-                       lower=(1.0 / w_up) ** (1.0 / p),
-                       details={"w_upper": w_up})
+                       lower=_root_bound(w_up, p), details={"w_upper": w_up})
 
 
 def ricompar_bound(lam, p: int, cls: ConvexityClass) -> BoundReport:
@@ -252,19 +258,21 @@ def ricompar_bound(lam, p: int, cls: ConvexityClass) -> BoundReport:
     lamF = Fraction(lam)
     rk = reduced_kernel(p - 1, lamF, cls)
     w_up = w_plain(float(lamF)) * rk.max01()
-    lower = math.inf if w_up == 0 else (1.0 / w_up) ** (1.0 / p)
     return BoundReport(method="ricompar", q=cls.describe(), lam=float(lamF), p=p,
-                       lower=lower, details={"w_upper": w_up})
+                       lower=_root_bound(w_up, p), details={"w_upper": w_up})
 
 
 def scan_rows(p: int, cls: ConvexityClass, grid: int = 41,
               radius_tol: float = 1e-7) -> list:
-    """(lam, kernel radius, pointwise bound) rows over the lam grid."""
+    """(lam, kernel radius, pointwise bound) rows at `grid` equally spaced
+    lam in [0, 1/2], both ends included."""
+    if grid < 2:
+        raise ValueError("grid must be >= 2")
     rows = []
     for k in range(grid):
         lam = Fraction(k, 2 * (grid - 1))
         w = _kernel_radius(p - 1, lam, cls, tol=radius_tol)
-        rows.append((float(lam), w, (1.0 / w) ** (1.0 / p) if w > 0 else math.inf))
+        rows.append((float(lam), w, _root_bound(w, p)))
     return rows
 
 

@@ -23,7 +23,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 import scipy.fft
 
-from .kernels import ReducedKernel, TwoSidedKernel
+from .kernels import TwoSidedKernel
 
 
 class InvalidKernelError(ValueError):
@@ -219,23 +219,18 @@ def power_iteration_hopf(grid: OperatorGrid, tol: float = 1e-8,
                         brackets=brackets, n=n)
 
 
-def convolution_radius(kernel: Union[ReducedKernel, TwoSidedKernel]):
-    """Exact spectral radius of a convolution-type kernel: its integral.
+def convolution_radius(kernel: TwoSidedKernel):
+    """Exact spectral radius of a two-sided kernel at lam = 1/2.
 
-    A reduced kernel wrapped by K(t) = K(t-1) is always convolution type and
-    the radius is integral(Ktilde) over [0, 1].  A two-sided kernel is
-    convolution type only at lam = 1/2, where the radius is lam*integral.
+    Only there is the kernel convolution type, and its radius is
+    lam * integral(Ktilde) over [0, 1].
     """
-    if isinstance(kernel, ReducedKernel):
-        return kernel.integral01()
-    if isinstance(kernel, TwoSidedKernel):
-        lam = kernel.lam
-        if not (lam == Fraction(1, 2) or float(lam) == 0.5):
-            raise InvalidUseError(
-                "two-sided kernel is convolution type only at lam = 1/2"
-            )
-        return kernel.reduced.integral01() * lam
-    raise InvalidUseError("not a convolution-type kernel")
+    lam = kernel.lam
+    if not (lam == Fraction(1, 2) or float(lam) == 0.5):
+        raise InvalidUseError(
+            "two-sided kernel is convolution type only at lam = 1/2"
+        )
+    return kernel.reduced.integral01() * lam
 
 
 #: first grid size of `radius_refined`, and how often it may double

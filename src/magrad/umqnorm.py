@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Optional, Sequence
 
-from .freealg import NCPoly, Word, eval_lambda, mu_ab, mu_lambda, perm_sum_l1
+from .freealg import NCPoly, Word, _check_degree, eval_lambda, mu_ab, perm_sum_l1
 from .series import compositions
 from .simplex import simplex_min, verify_certificate
 
@@ -126,9 +126,6 @@ class QuasiMonomial:
 
     def evaluate(self) -> NCPoly:
         return _eval_tree(self.tree)
-
-    def cost(self, kappa: Fraction) -> Fraction:
-        return Fraction(kappa) ** self.xi_count
 
 
 def leaf(i: int) -> QuasiMonomial:
@@ -435,7 +432,7 @@ def fa_norm_upper(x: NCPoly, cls: ConvexityClass,
             continue            # not sign-aligned with the remainder
         for w in sup:
             remaining[w] = remaining[w] - weight * p.terms[w]
-        total += abs(weight) * qm.cost(kappa)
+        total += abs(weight) * kappa ** qm.xi_count
     total += sum((abs(v) for v in remaining.values()), Fraction(0))
     return total
 
@@ -443,9 +440,10 @@ def fa_norm_upper(x: NCPoly, cls: ConvexityClass,
 # ---------------------------------------------------------------------------
 # normalized permutation-sum norms
 
-#: size of the theta_ab and theta_k caches, keyed by exact lam that float
-#: callers draw afresh: the q = 1 and q = 2 `c_log_bound(5)` of criterion 04
-#: fill 1060, so such scans stay cached for on-grid pointwise bounds after them
+#: size of the theta_ab cache (theta_k reads through it), keyed by exact lam
+#: that float callers draw afresh: the q = 1 and q = 2 `c_log_bound(5)` of
+#: criterion 04 fill 1060, so such scans stay cached for on-grid pointwise
+#: bounds after them
 THETA_CACHE_SIZE = 4096
 
 
@@ -464,12 +462,18 @@ def theta_ab(a: int, b: int, lam: Fraction, cls: ConvexityClass) -> NormValue:
     return fa_norm_exact(poly, cls).scale(Fraction(1, factorial(p1)))
 
 
-@lru_cache(maxsize=THETA_CACHE_SIZE)
 def theta_k(k: int, lam: Fraction, cls: ConvexityClass) -> NormValue:
-    """Norm of the unmarked permutation sum over S_k, divided by k!."""
+    """Norm of the unmarked permutation sum mu_lambda(k) over S_k, divided
+    by k!.
+
+    The marker 1/2 ascends into every word and the marker k+1/2 descends
+    from every word, so mu_ab(0, k) = lam * mu_lambda(k) and
+    mu_ab(k, 0) = (lam-1) * mu_lambda(k).  Both norms are absolutely
+    homogeneous (the LP optimum is linear in its right-hand side), hence
+    theta_k = theta_ab(0, k) / |lam|, or theta_ab(k, 0) / |lam-1| at lam = 0.
+    """
+    _check_degree(k)
     lam = Fraction(lam)
-    if cls.is_plain:
-        v = perm_sum_l1(k, lam) / factorial(k)
-        return NormValue(v, v)
-    poly = eval_lambda(mu_lambda(k), lam)
-    return fa_norm_exact(poly, cls).scale(Fraction(1, factorial(k)))
+    if lam:
+        return theta_ab(0, k, lam, cls).scale(1 / abs(lam))
+    return theta_ab(k, 0, lam, cls)             # |lam - 1| = 1

@@ -175,25 +175,17 @@ def check_plain_kernel_oracle() -> tuple[bool, str]:
 
 def check_maglower() -> tuple[bool, str]:
     """Exact degree-4 correction identity plus the grid ratio floors."""
-    # polynomial identity per lam side and t sign, exact coefficients at q=1
+    # two-sided identity (KP - KA)(t) == (1-kappa)*B(lam, t) at q=1, exact
+    # per lam: both sides have degree <= 4 in t on each branch, so seven
+    # points on [0, 1] and six on [-1, 0) pin it
     half = Fraction(1, 2)
     for lam in (Fraction(k, 17) for k in list(range(1, 8)) + list(range(10, 17))):
-        kA = kernels.reduced_kernel(4, lam, _Q1)
-        kP = kernels.plain_reduced_kernel(4, lam)
-        m = min(lam, 1 - lam)
-        # upper branch: lam*(KP - KA)(t) == (1-kappa)*B(lam, t), t in [0, 1]
-        diff = [lam * (p - a) for p, a in zip(kP.coeffs, kA.coeffs)]
-        b_up = [Fraction(1, 3) * lam ** 2 * (1 - lam) * m * c
-                for c in (1 - lam, 0, 6 * lam - 3, 2 - 4 * lam, 0)]
-        if diff != [half * c for c in b_up]:
-            return False, f"upper-branch identity fails at lam={lam}"
-        # lower branch: (1-lam)*(KP - KA)(t+1) == (1-kappa)*B(lam, t) on
-        # t in [-1, 0]; six rational points pin the degree <= 5 identity
-        for t in (Fraction(-1), Fraction(-5, 6), Fraction(-2, 3),
-                  Fraction(-1, 2), Fraction(-1, 3), Fraction(-1, 6)):
-            lhs = (1 - lam) * (kP(t + 1) - kA(t + 1))
-            if lhs != half * kernels.b_correction(lam, t):
-                return False, f"lower-branch identity fails at lam={lam}, t={t}"
+        kA = kernels.reduced_kernel(4, lam, _Q1).two_sided()
+        kP = kernels.plain_reduced_kernel(4, lam).two_sided()
+        for t in (Fraction(k, 6) for k in range(-6, 7)):
+            if kP(t) - kA(t) != half * kernels.b_correction(lam, t):
+                branch = "upper" if t >= 0 else "lower"
+                return False, f"{branch}-branch identity fails at lam={lam}, t={t}"
     # ratio floors on the 1e-3 grids (B over the plain two-sided kernel)
     def ratio_min(lam_lo, lam_hi):
         lams = np.clip(np.arange(lam_lo, lam_hi + 1e-12, 1e-3), lam_lo, lam_hi)
@@ -232,9 +224,8 @@ def check_block_component() -> tuple[bool, str]:
     comp = bch.upsilon_power_component(3, (3, 5))
     c = bch.resolvent_series(5)
     c2sq, c3 = c[2] * c[2], c[3]
-    plus, minus = bch._aligned_words(False)
-    ok1 = all(comp.poly.coeff(w) == c2sq for w in plus) \
-        and comp.poly.coeff(minus) == c3
+    plus, minus = bch._aligned_words()
+    ok1 = all(comp.coeff(w) == c2sq for w in plus) and comp.coeff(minus) == c3
     # sign pattern on the critical window, exact at the rational endpoints
     ok2 = True
     for lam in (Fraction(35865, 100000), Fraction(35866, 100000)):

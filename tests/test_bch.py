@@ -122,24 +122,24 @@ class TestUpsilonL1:
 class TestPowerComponents:
     def test_first_block(self):
         pc = upsilon_power_component(1, (1, 1))
-        assert pc.poly.terms == {(1, 2): LambdaPoly((1,))}
+        assert pc.terms == {(1, 2): LambdaPoly((1,))}
 
     def test_square_block(self):
         pc = upsilon_power_component(2, (2, 2))
-        assert pc.poly.terms == {(1, 2, 1, 2): LambdaPoly((1,))}
+        assert pc.terms == {(1, 2, 1, 2): LambdaPoly((1,))}
 
     def test_impossible_pattern_empty(self):
-        assert not upsilon_power_component(3, (2, 5)).poly
-        assert not upsilon_power_component(3, (5, 2)).poly
+        assert not upsilon_power_component(3, (2, 5))
+        assert not upsilon_power_component(3, (5, 2))
 
     def test_cross_words_carry_quartic_factors(self):
         pc = upsilon_power_component(3, (3, 5))
         c = resolvent_series(3)
         c2sq, c3 = c[2] * c[2], c[3]
-        assert pc.poly.coeff((1, 2, 2, 1, 2, 2, 1, 2)) == c2sq
-        assert pc.poly.coeff((1, 2, 1, 2, 2, 1, 2, 2)) == c2sq
-        assert pc.poly.coeff((1, 2, 2, 1, 2, 1, 2, 2)) == c2sq
-        assert pc.poly.coeff((1, 2, 1, 2, 2, 2, 1, 2)) == c3
+        assert pc.coeff((1, 2, 2, 1, 2, 2, 1, 2)) == c2sq
+        assert pc.coeff((1, 2, 1, 2, 2, 1, 2, 2)) == c2sq
+        assert pc.coeff((1, 2, 2, 1, 2, 1, 2, 2)) == c2sq
+        assert pc.coeff((1, 2, 1, 2, 2, 2, 1, 2)) == c3
 
     def test_block_expansion_matches_product_series(self):
         # sum of |coefficients| at fixed bidegree equals the coefficient of
@@ -149,7 +149,7 @@ class TestPowerComponents:
         cabs = [abs(ci(lam)) for ci in c]
         for n, (d1, d2) in ((2, (3, 3)), (2, (2, 4)), (3, (3, 5))):
             pc = upsilon_power_component(n, (d1, d2))
-            lhs = sum(abs(cf(lam)) for cf in pc.poly.terms.values())
+            lhs = sum(abs(cf(lam)) for cf in pc.terms.values())
 
             def comp_sum(d, parts):
                 if parts == 1:
@@ -183,7 +183,7 @@ class TestGain:
         # closed-form gain equals the cross-term peeling route, exactly
         lam = Fraction(2, 5)
         comp = upsilon_power_component(3, (3, 5))
-        p = eval_lambda(comp.poly, lam)
+        p = eval_lambda(comp, lam)
         upper = fa_norm_upper(p, Q1, [cross_term_35()])
         gain = l1_norm(p) - upper
         c = resolvent_series(3)

@@ -117,6 +117,30 @@ class TestBound:
         data = json.loads(out)
         assert data["lower"] == 2.0 and abs(data["upper"] - 3.14159265359) < 1e-9
 
+    @pytest.mark.parametrize("lam", ["0", "1"])
+    def test_pth_root_at_quasi_nilpotent_endpoint(self, capsys, lam):
+        # the kernel radius is 0 at lam in {0, 1}: an infinite lower bound,
+        # as crude-ratio and ode report there, not a division by zero
+        code, out = run(capsys, "bound", "--method", "pth-root",
+                        "--lambda", lam, "--p", "5")
+        data = json.loads(out)
+        assert code == 0 and data["lower"] == float("inf")
+        assert data["details"]["kernel_radius"] == 0.0
+
+    def test_pth_root_rejects_p_below_one(self, capsys):
+        code = main(["bound", "--method", "pth-root", "--lambda", "1",
+                     "--p", "0"])
+        cap = capsys.readouterr()
+        assert code == 2 and cap.out == "" and "p-1 must be >= 0" in cap.err
+
+    @pytest.mark.parametrize("argv", [
+        ("scan", "--p", "2"), ("bound", "--method", "log", "--p", "2")])
+    @pytest.mark.parametrize("grid", ["0", "1"])
+    def test_grid_below_two_is_usage_error(self, capsys, argv, grid):
+        code = main([*argv, "--grid", grid])
+        cap = capsys.readouterr()
+        assert code == 2 and cap.out == "" and "grid must be >= 2" in cap.err
+
     def test_unknown_method_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bound", "--method", "nope"])

@@ -156,7 +156,6 @@ class TestAscentCounts:
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_counts_cover_every_word(self, k):
-        assert sum(_ascent_counts(k, None)) == factorial(k)
         for a in range(k + 1):
             counts = _ascent_counts(k, a)
             assert sum(counts) == factorial(k) and len(counts) == k + 1
@@ -164,8 +163,8 @@ class TestAscentCounts:
             assert counts == _ascent_counts(k, k - a)[::-1]
 
     def test_eulerian_numbers_and_outer_markers(self):
-        assert _ascent_counts(8, None) == self.EULERIAN_8
-        # marker 1/2 ascends into every word, marker 8 + 1/2 descends
+        # marker 1/2 ascends into every word, marker 8 + 1/2 descends, so the
+        # outer markers shift the Eulerian row of S_8 by one ascent or none
         assert _ascent_counts(8, 0) == [0] + self.EULERIAN_8
         assert _ascent_counts(8, 8) == self.EULERIAN_8 + [0]
 

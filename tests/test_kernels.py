@@ -10,7 +10,6 @@ from magrad.kernels import (
     b_correction,
     g_tilde_series,
     kernel_csv_rows,
-    p_ab,
     plain_reduced_kernel,
     reduced_kernel,
 )
@@ -39,18 +38,6 @@ def g_series(lam, N: int) -> list:
     den = _denominator_series(lam, N)
     g = series_div(num, den, N - 1) if N >= 1 else []
     return [Fraction(0)] + g
-
-
-class TestPab:
-    def test_empty_configuration(self):
-        assert p_ab(0, 0, Fraction(1, 3)) == 1
-
-    def test_binomial_sum_is_one(self):
-        for t in (Fraction(0), Fraction(1, 4), Fraction(4, 5)):
-            assert sum(p_ab(a, 4 - a, t) for a in range(5)) == 1
-
-    def test_center_value(self):
-        assert p_ab(2, 2, HALF) == Fraction(3, 8)
 
 
 class TestReducedKernel:

@@ -235,6 +235,17 @@ class TestTheta:
         assert theta_k(4, HALF, Q1).value == Fraction(5, 48)
         assert theta_k(4, HALF, PLAIN).value == Fraction(1, 8)
 
+    @pytest.mark.parametrize("cls", [Q1, Q2], ids=["q1", "q2"])
+    def test_theta_k_equals_direct_route(self, cls):
+        # theta_k reads theta_ab(0, k) (or theta_ab(k, 0) at lam = 0); the
+        # unmarked sum's own LP must give the same lo/hi Fractions
+        for k in range(1, 5):
+            for lam in (Fraction(0), Fraction(1, 3), HALF, Fraction(1)):
+                want = fa_norm_exact(eval_lambda(mu_lambda(k), lam), cls)
+                want = want.scale(Fraction(1, factorial(k)))
+                got = theta_k(k, lam, cls)
+                assert (got.lo, got.hi) == (want.lo, want.hi), (k, lam)
+
     def test_cap_propagates(self):
         with pytest.raises(ExhaustiveCapError):
             theta_ab(0, 6, HALF, Q1)
@@ -254,8 +265,8 @@ class TestTheta:
         for a, b in ((-1, 3), (3, -1), (0, 0), (0, 9)):
             with pytest.raises(DegreeError):
                 theta_ab(a, b, HALF, PLAIN)
-        for k in (0, 9):
-            with pytest.raises(DegreeError):
+        for k in (-1, 0, 9):
+            with pytest.raises(DegreeError, match=f"degree {k} outside"):
                 theta_k(k, HALF, PLAIN)
 
     def test_degree4_formulas_seven_points_per_side(self):
