@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .freealg import LambdaPoly, NCPoly
-from .series import compositions, refine_max, series_div
+from .series import compositions, float_pow, refine_max, series_div
 from .umqnorm import ConvexityClass, QuasiMonomial, leaf, prod, xi
 
 #: cumulative BCH radius in the plain case (8 verified digits)
@@ -94,12 +94,6 @@ class _LamTable:
     pref3: np.ndarray
 
 
-def _pow(values: np.ndarray, e: float) -> np.ndarray:
-    """values**e with Python's float pow, one element at a time: numpy's
-    vectorized ** can differ from libm pow in the last bit."""
-    return np.array([v ** e for v in values.tolist()])
-
-
 def _lam_table(lams) -> _LamTable:
     """Columns evaluated at mu = min(lam, 1-lam).
 
@@ -118,7 +112,7 @@ def _lam_table(lams) -> _LamTable:
     return _LamTable(abs_c=np.array([[abs(cn(m)) for m in mus] for cn in c]),
                      c2sq=np.array([c2sq_p(m) for m in mus]),
                      c3=np.array([c3_p(m) for m in mus]),
-                     pref=pref, pref3=_pow(pref, 3))
+                     pref=pref, pref3=float_pow(pref, 3))
 
 
 @lru_cache(maxsize=None)
@@ -141,7 +135,7 @@ def _abs_series_sums(t: _LamTable, x: float) -> tuple:
     t_hi = np.maximum(T[_N - 1], T[_N])
     t_lo = np.maximum(T[_N - 1 - _TAIL_WINDOW], T[_N - _TAIL_WINDOW])
     with np.errstate(divide="ignore", invalid="ignore"):
-        rho = _pow(t_hi / t_lo, 1.0 / _TAIL_WINDOW)
+        rho = float_pow(t_hi / t_lo, 1.0 / _TAIL_WINDOW)
         ok = (t_hi == 0.0) | ((t_lo > 0.0) & (rho < 1.0))
         tail = np.where(ok, (T[_N - 1] + T[_N]) * rho / (1.0 - rho), np.inf)
     return head, np.where(t_hi == 0.0, 0.0, tail), ok
@@ -246,7 +240,7 @@ def _cube_bound(t: _LamTable, cls: ConvexityClass, x1: float,
     unit = 4.0 * np.minimum(t.c2sq, -t.c3) * one_minus_kappa * t.pref3
     gain = np.where(aligned & (one_minus_kappa > 0.0),
                     unit * (x1 ** 3 * x2 ** 5 + x1 ** 5 * x2 ** 3), 0.0)
-    return value, _pow(value, 3), gain, ok, aligned
+    return value, float_pow(value, 3), gain, ok, aligned
 
 
 def bch_gain_upper(lam: float, cls: ConvexityClass, x1: float,

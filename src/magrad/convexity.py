@@ -6,8 +6,15 @@ bound (operator p-norms replaced by max of the 1-norm and inf-norm, valid by
 interpolation).  A reported violation would falsify the implementation, not
 the inequality.
 
-Trials use a counter-based generator keyed by (seed, trial index), so runs
-are deterministic per seed regardless of execution order.
+Trial t of seed s draws its four matrices and its vector, in that order,
+from the counter-based stream of Philox(key=(s << 20) + t), so runs are
+deterministic per seed regardless of execution order.  A check takes
+0 <= s < 2**108 and at most 2**20 trials, which keeps keys distinct across
+seeds and below Philox's 2**128.  Trials run in blocks of _BLOCK: each
+block's draws fill one row per trial of a buffer, and the products, norms
+and ratios are stacked numpy passes over the block.  Every scalar pow of
+the one-trial-at-a-time arithmetic goes through libm (`series.float_pow`),
+so each trial's ratio is bit for bit the one a per-trial loop gives.
 """
 
 from __future__ import annotations
@@ -16,6 +23,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+
+from .series import float_pow
+
+#: trials per stacked numpy pass; a block's draws of n = 8 take ~68 KB
+_BLOCK = 32
+#: trial keys are (seed << 20) + t, so more trials would reach seed + 1's
+_MAX_TRIALS = 1 << 20
+_U64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -41,17 +56,16 @@ class LpSpace:
         return min(self.p, self.p / (self.p - 1.0))
 
 
-def _opnorm_upper(A: np.ndarray) -> float:
-    """max column-sum / row-sum bound, valid for every p-operator norm."""
-    return max(np.abs(A).sum(axis=0).max(), np.abs(A).sum(axis=1).max())
+def _opnorm_upper(A: np.ndarray):
+    """max column-sum / row-sum bound, valid for every p-operator norm; a
+    stack of matrices gives one bound per matrix."""
+    A = np.abs(A)
+    return np.maximum(A.sum(axis=-2).max(axis=-1), A.sum(axis=-1).max(axis=-1))
 
 
-def _pnorm(v: np.ndarray, p: float) -> float:
-    return float(np.sum(np.abs(v) ** p) ** (1.0 / p))
-
-
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=(seed << 20) + trial))
+def _pnorm(V: np.ndarray, p: float) -> np.ndarray:
+    """p-norms of the rows of V."""
+    return float_pow(np.sum(np.abs(V) ** p, axis=-1), 1.0 / p)
 
 
 @dataclass
@@ -73,29 +87,56 @@ class SampleReport:
                 "violations": self.violations, "passed": self.passed}
 
 
-def _mean_power(a: float, b: float, r: float) -> float:
-    return ((a ** r + b ** r) / 2.0) ** (1.0 / r)
+def _mean_power(a: np.ndarray, b: np.ndarray, r: float) -> np.ndarray:
+    return float_pow((float_pow(a, r) + float_pow(b, r)) / 2.0, 1.0 / r)
+
+
+def _trial_draws(seed: int):
+    """fill(rows, start) writes into row i the standard normals of trial
+    start + i: the stream of a fresh Generator(Philox(key=(seed << 20) + t)),
+    from one Philox re-keyed per trial, without a fresh one's entropy read."""
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    key = {"counter": (0, 0, 0, 0), "key": None}
+    state = {"bit_generator": "Philox", "state": key, "buffer": (0, 0, 0, 0),
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+    def fill(rows: np.ndarray, start: int) -> None:
+        for t, row in enumerate(rows, start=(seed << 20) + start):
+            key["key"] = (t & _U64, t >> 64)
+            bitgen.state = state
+            gen.standard_normal(out=row)
+    return fill
 
 
 def _sample(space: LpSpace, trials: int, seed: int, draw) -> SampleReport:
-    """Ratio |M v|_p / rhs over the trials, with (M, rhs) = draw(rng, n, scale)
-    from the trial's generator and v a random unit vector drawn after them."""
+    """Ratio |M v|_p / rhs over the trials, with (M, rhs) = draw(mats, scale)
+    from a stack of trials' four n x n matrices and v a random unit vector
+    drawn after them."""
     if trials < 1:
         raise ValueError("need at least one trial")
+    if trials > _MAX_TRIALS:
+        raise ValueError(f"trials must be at most 2**20, got {trials}")
+    if not 0 <= seed < 1 << 108:
+        raise ValueError(f"seed must lie in [0, 2**108), got {seed}")
     n, p = space.n, space.p
+    m = 4 * n * n
     scale = 2.0 ** (-1.0 / space.q)
+    fill = _trial_draws(seed)
+    buf = np.empty((_BLOCK, m + n))
     max_ratio, worst = 0.0, None
     violations = []
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
-        M, rhs = draw(rng, n, scale)
-        v = rng.standard_normal(n)
-        v = v / _pnorm(v, p)
-        ratio = _pnorm(M @ v, p) / rhs
-        if ratio > max_ratio:
-            max_ratio, worst = ratio, t
-        if ratio > 1.0:
-            violations.append(t)
+    for start in range(0, trials, _BLOCK):
+        rows = buf[:min(_BLOCK, trials - start)]
+        fill(rows, start)
+        M, rhs = draw(rows[:, :m].reshape(-1, 4, n, n), scale)
+        v = rows[:, m:] / _pnorm(rows[:, m:], p)[:, None]
+        ratio = _pnorm((M @ v[..., None])[..., 0], p) / rhs
+        above = np.flatnonzero(ratio > max_ratio)
+        if above.size:
+            i = above[np.argmax(ratio[above])]
+            max_ratio, worst = float(ratio[i]), start + int(i)
+        violations += (start + np.flatnonzero(ratio > 1.0)).tolist()
     return SampleReport(space=space, trials=trials, seed=seed,
                         max_ratio=max_ratio, violations=violations,
                         worst_trial=worst)
@@ -108,8 +149,8 @@ def check_umd_sampled(space: LpSpace, trials: int, seed: int = 0) -> SampleRepor
     2^(-1/q) * mean_q'(|X|,|Y|) * mean_q'(|Z|,|W|) with certified upper
     bounds on the operator norms.
     """
-    def draw(rng, n, scale):
-        X, Y, Z, W = (rng.standard_normal((n, n)) for _ in range(4))
+    def draw(mats, scale):
+        X, Y, Z, W = mats.transpose(1, 0, 2, 3)
         M = (X @ Z + Y @ Z + X @ W - Y @ W) / 4.0
         r = space.q_prime
         return M, scale * _mean_power(_opnorm_upper(X), _opnorm_upper(Y), r) \
@@ -123,10 +164,10 @@ def check_umq_sampled(space: LpSpace, trials: int, seed: int = 0) -> SampleRepor
     Tests |((S1S2S3S4 + S2S1S3S4 + S1S2S4S3 - S2S1S4S3)/4) v|_p against
     2^(-1/q) * |S1| |S2| |S3| |S4| with certified norm upper bounds.
     """
-    def draw(rng, n, scale):
-        S1, S2, S3, S4 = (rng.standard_normal((n, n)) for _ in range(4))
-        M = (S1 @ S2 @ S3 @ S4 + S2 @ S1 @ S3 @ S4
-             + S1 @ S2 @ S4 @ S3 - S2 @ S1 @ S4 @ S3) / 4.0
+    def draw(mats, scale):
+        S1, S2, S3, S4 = mats.transpose(1, 0, 2, 3)
+        P, Q = S1 @ S2, S2 @ S1
+        M = (P @ S3 @ S4 + Q @ S3 @ S4 + P @ S4 @ S3 - Q @ S4 @ S3) / 4.0
         for S in (S1, S2, S3, S4):
             scale *= _opnorm_upper(S)
         return M, scale

@@ -2,9 +2,10 @@
 
 Series are plain lists indexed by power, length N+1 for truncation order N,
 with Fraction or `LambdaPoly` coefficients.  Division requires an invertible
-constant term.  Also here: the one Horner evaluator, the compositions of
-an integer, in the lexicographic order that fixes LP column order, and the
-one grid-then-Brent maximizer behind every sup over lam or t.
+constant term.  Also here: the one Horner evaluator, the one elementwise
+libm pow, the compositions of an integer, in the lexicographic order that
+fixes LP column order, and the one grid-then-Brent maximizer behind every
+sup over lam or t.
 """
 
 from __future__ import annotations
@@ -25,6 +26,12 @@ def horner(coeffs, x):
     for c in reversed(coeffs):
         acc = acc * x + (c if isinstance(x, Fraction) else float(c))
     return acc
+
+
+def float_pow(values: np.ndarray, e: float) -> np.ndarray:
+    """values**e with Python's float pow, one element at a time: numpy's
+    vectorized ** can differ from libm pow in the last bit."""
+    return np.array([v ** e for v in values.tolist()])
 
 
 def refine_max(f, xs, vals, xatol: float = 1e-10) -> tuple:

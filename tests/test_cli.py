@@ -210,6 +210,14 @@ class TestVerify:
         data = json.loads(out)
         assert code == 0 and data["umd"]["passed"] and data["umq"]["passed"]
 
+    @pytest.mark.parametrize("argv,message", [
+        (("--seed", "-1"), "seed must lie in [0, 2**108), got -1"),
+        (("--trials", str(2 ** 20 + 1)), "trials must be at most 2**20")])
+    def test_convexity_key_range_is_usage_error(self, capsys, argv, message):
+        code = main(["verify-convexity", *argv])
+        cap = capsys.readouterr()
+        assert code == 2 and cap.out == "" and message in cap.err
+
     def test_verify_subset(self, capsys):
         code, out = run(capsys, "verify", "--criteria", "01-exact")
         assert code == 0 and "PASS" in out and "1/1" in out

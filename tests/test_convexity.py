@@ -8,6 +8,8 @@ from magrad.convexity import (
     check_umd_sampled,
     check_umq_sampled,
     _opnorm_upper,
+    _sample,
+    _trial_draws,
 )
 
 
@@ -79,6 +81,126 @@ class TestSampledChecks:
         with pytest.raises(ValueError):
             check_umd_sampled(LpSpace(4, 2.0), 0)
 
+    @pytest.mark.parametrize("fn", [check_umd_sampled, check_umq_sampled])
+    @pytest.mark.parametrize("trials,seed,name", [
+        (10, -1, "seed"), (10, 2 ** 108, "seed"), (2 ** 20 + 1, 0, "trials")])
+    def test_key_range_validated(self, fn, trials, seed, name):
+        # keys (seed << 20) + t: trial 2**20 of seed s would be trial 0 of s+1
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            fn(LpSpace(4, 2.0), trials, seed=seed)
+
+
+# The one-trial-at-a-time loop the blocked sampler replaced, kept as its
+# oracle: a fresh generator per trial, five separate draws, numpy scalars.
+def _ref_pnorm(v, p):
+    return float(np.sum(np.abs(v) ** p) ** (1.0 / p))
+
+
+def _ref_opnorm(A):
+    return max(np.abs(A).sum(axis=0).max(), np.abs(A).sum(axis=1).max())
+
+
+def _ref_mean_power(a, b, r):
+    return ((a ** r + b ** r) / 2.0) ** (1.0 / r)
+
+
+def _ref_sample(space, trials, seed, draw):
+    n, p = space.n, space.p
+    scale = 2.0 ** (-1.0 / space.q)
+    max_ratio, worst = 0.0, None
+    violations = []
+    for t in range(trials):
+        rng = np.random.Generator(np.random.Philox(key=(seed << 20) + t))
+        M, rhs = draw(rng, n, scale)
+        v = rng.standard_normal(n)
+        v = v / _ref_pnorm(v, p)
+        ratio = _ref_pnorm(M @ v, p) / rhs
+        if ratio > max_ratio:
+            max_ratio, worst = ratio, t
+        if ratio > 1.0:
+            violations.append(t)
+    return max_ratio.hex(), worst, violations
+
+
+def _ref_umd(space):
+    def draw(rng, n, scale):
+        X, Y, Z, W = (rng.standard_normal((n, n)) for _ in range(4))
+        M = (X @ Z + Y @ Z + X @ W - Y @ W) / 4.0
+        r = space.q_prime
+        return M, scale * _ref_mean_power(_ref_opnorm(X), _ref_opnorm(Y), r) \
+            * _ref_mean_power(_ref_opnorm(Z), _ref_opnorm(W), r)
+    return draw
+
+
+def _ref_umq(space):
+    def draw(rng, n, scale):
+        S1, S2, S3, S4 = (rng.standard_normal((n, n)) for _ in range(4))
+        M = (S1 @ S2 @ S3 @ S4 + S2 @ S1 @ S3 @ S4
+             + S1 @ S2 @ S4 @ S3 - S2 @ S1 @ S4 @ S3) / 4.0
+        for S in (S1, S2, S3, S4):
+            scale *= _ref_opnorm(S)
+        return M, scale
+    return draw
+
+
+def _bits(report):
+    return report.max_ratio.hex(), report.worst_trial, report.violations
+
+
+class TestBlockedSampler:
+    # the benchmark's spaces; trial counts around one block of 32
+    @pytest.mark.parametrize("n", range(4, 9))
+    @pytest.mark.parametrize("check", ["umd", "umq"])
+    def test_matches_per_trial_loop(self, check, n):
+        fn, ref = ((check_umd_sampled, _ref_umd) if check == "umd"
+                   else (check_umq_sampled, _ref_umq))
+        for p in (1.25, 1.5, 3.0, 4.0):
+            sp = LpSpace(n, p)
+            for trials in (1, 31, 32, 33, 200):
+                seed = 97 * n + trials
+                assert _bits(fn(sp, trials, seed=seed)) == \
+                    _ref_sample(sp, trials, seed, ref(sp)), (p, trials)
+
+    def test_violations_and_worst_trial(self):
+        # a right side shrunk eightfold: some trials violate, in trial order
+        def ref_draw(rng, n, scale):
+            X, Y, Z, W = (rng.standard_normal((n, n)) for _ in range(4))
+            return X @ Z, scale * _ref_opnorm(X) * _ref_opnorm(Z) / 8.0
+
+        def draw(mats, scale):
+            X, Z = mats[:, 0], mats[:, 2]
+            return X @ Z, scale * _opnorm_upper(X) * _opnorm_upper(Z) / 8.0
+
+        sp = LpSpace(6, 3.0)
+        for trials in (1, 31, 32, 33, 200):
+            got = _bits(_sample(sp, trials, 11, draw))
+            assert got == _ref_sample(sp, trials, 11, ref_draw)
+        assert 0 < len(got[2]) < 200 and got[1] in got[2]
+
+    @pytest.mark.parametrize("rhs", [1.0, np.nan])
+    def test_no_positive_ratio_keeps_empty_report(self, rhs):
+        # zero ratios never exceed the initial 0.0 and NaN ratios are ignored
+        def draw(mats, scale):
+            return np.zeros_like(mats[:, 0]), np.full(len(mats), rhs)
+
+        assert _bits(_sample(LpSpace(4, 2.0), 40, 3, draw)) == \
+            ((0.0).hex(), None, [])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2024, 2 ** 108 - 1])
+    def test_rekeyed_stream_is_a_fresh_philox(self, seed):
+        fill = _trial_draws(seed)
+        rows = np.empty((3, 4 * 5 * 5 + 5))
+        for start in (32, 0, 31, 2 ** 20 - 3):      # any order
+            fill(rows, start)
+            for i, row in enumerate(rows):
+                rng = np.random.Generator(
+                    np.random.Philox(key=(seed << 20) + start + i))
+                # one draw of 4n^2 + n normals is the per-trial loop's five
+                want = np.concatenate([rng.standard_normal((5, 5)).ravel()
+                                       for _ in range(4)]
+                                      + [rng.standard_normal(5)])
+                assert row.tobytes() == want.tobytes()
+
 
 # (check, n, p, seed, max_ratio.hex(), worst_trial, violations) of 200 trials,
 # recorded from the two separate sampling loops before they were merged
@@ -110,6 +232,18 @@ PINNED = [
 ]
 
 
+# (check, n, p, max_ratio.hex(), worst_trial) of criterion 12's six reports,
+# 10 000 trials with seed 2024, recorded from the per-trial loop
+PINNED_CRITERION_12 = [
+    ('umd', 8, 2.0, '0x1.42cd445d313a1p-3', 2339),
+    ('umq', 8, 2.0, '0x1.5362c15aaff5dp-6', 3262),
+    ('umd', 6, 3.0, '0x1.add914f2ec566p-3', 9095),
+    ('umq', 6, 3.0, '0x1.03a4f5ec8df44p-5', 1471),
+    ('umd', 6, 1.5, '0x1.c8b71cf63c75fp-3', 8886),
+    ('umq', 6, 1.5, '0x1.18949773784efp-5', 7668),
+]
+
+
 class TestPinnedBits:
     @pytest.mark.parametrize("check,n,p,seed,ratio,worst,violations", PINNED)
     def test_sampled_report(self, check, n, p, seed, ratio, worst, violations):
@@ -117,3 +251,9 @@ class TestPinnedBits:
         r = fn(LpSpace(n, p), 200, seed=seed)
         assert (r.max_ratio.hex(), r.worst_trial, r.violations) == \
             (ratio, worst, violations)
+
+    @pytest.mark.parametrize("check,n,p,ratio,worst", PINNED_CRITERION_12)
+    def test_criterion_12_report(self, check, n, p, ratio, worst):
+        fn = check_umd_sampled if check == "umd" else check_umq_sampled
+        r = fn(LpSpace(n, p), 10_000, seed=2024)
+        assert _bits(r) == (ratio, worst, [])
