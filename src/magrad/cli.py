@@ -63,6 +63,11 @@ def _emit(payload, args, csv_rows=None, csv_header=None):
     else:
         data = {"schema": SCHEMA, **payload}
         text = json.dumps(_round12(data), sort_keys=True) + "\n"
+    _write(text, args)
+
+
+def _write(text: str, args):
+    """Write the output text to --out, or to stdout without one."""
     out = getattr(args, "out", None)
     if out:
         with open(out, "w") as fh:
@@ -89,7 +94,7 @@ def cmd_theta(args) -> int:
             return 2
         val = theta_ab(args.a, args.b, lam, cls)
     if args.format == "text":
-        print(val)
+        _write(f"{val}\n", args)
         return 0
     _emit({"theta": _norm_payload(val), "lam": str(lam),
            "q": cls.describe(), "k": args.k, "a": args.a, "b": args.b}, args)
@@ -99,6 +104,9 @@ def cmd_theta(args) -> int:
 def cmd_norm(args) -> int:
     with open(args.poly) as fh:
         poly = NCPoly.from_json(fh.read())
+    if not all(isinstance(c, Fraction) for c in poly.terms.values()):
+        raise ValueError("norm needs rational coefficients: a multi-entry "
+                         "coeff list is a polynomial in lambda")
     res = fa_norm_exact(poly, args.q)
     if args.cert_out:
         certs = [c.to_jsonable() for c in res.certificates]

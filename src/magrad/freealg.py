@@ -232,16 +232,22 @@ class NCPoly:
 
     @classmethod
     def from_json(cls, text: str) -> "NCPoly":
-        data = json.loads(text)
-        terms: dict[Word, Coeff] = {}
-        plain = all(len(t["coeff"]) <= 1 for t in data["terms"])
-        for t in data["terms"]:
-            w = tuple(int(i) for i in t["word"])
-            cs = [Fraction(s) for s in t["coeff"]]
-            if plain:
-                terms[w] = cs[0] if cs else Fraction(0)
-            else:
-                terms[w] = LambdaPoly(cs)
+        """Inverse of `to_json`; ValueError on a malformed document."""
+        try:
+            data = json.loads(text)
+            terms: dict[Word, Coeff] = {}
+            plain = all(len(t["coeff"]) <= 1 for t in data["terms"])
+            for t in data["terms"]:
+                w = tuple(t["word"])
+                if not all(type(i) is int for i in w):
+                    raise TypeError(f"word letters must be integers: {w}")
+                cs = [Fraction(s) for s in t["coeff"]]
+                if plain:
+                    terms[w] = cs[0] if cs else Fraction(0)
+                else:
+                    terms[w] = LambdaPoly(cs)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed polynomial JSON: {exc!r}") from exc
         return cls(terms)
 
     def __repr__(self):

@@ -22,11 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, factorial
 from typing import Union
 
 import numpy as np
 
-from .series import factorial_fraction, horner, series_div, series_exp_linear
+from .series import horner, series_div, series_exp_linear
 from .umqnorm import PLAIN, ConvexityClass, theta_ab
 
 Number = Union[Fraction, float]
@@ -110,10 +111,10 @@ def reduced_kernel(p_minus_1: int, lam, cls: ConvexityClass) -> ReducedKernel:
     coeffs = [Fraction(0)] * (p_minus_1 + 1)
     for a, theta in enumerate(thetas):
         b = p_minus_1 - a
-        base = factorial_fraction(p_minus_1, a, b)
+        base = comb(p_minus_1, a)
         # (1-t)^a = sum_i C(a,i) (-1)^i t^i
         for i in range(a + 1):
-            coeffs[b + i] += theta * base * factorial_fraction(a, i, a - i) * (-1) ** i
+            coeffs[b + i] += theta * base * comb(a, i) * (-1) ** i
     return ReducedKernel(coeffs=tuple(coeffs), lam=lamf if cls.exact else float(lamf),
                          p_minus_1=p_minus_1)
 
@@ -133,7 +134,7 @@ def _denominator_series(lam: Fraction, N: int) -> list:
     mu = lam * (1 - lam)
     for k in range(1, N + 1):
         s = sum(((1 - lam) ** i) * (lam ** (k - 2 - i)) for i in range(k - 1))
-        out.append(-mu * s / factorial_fraction(k))
+        out.append(-mu * s / factorial(k))
     return out
 
 
@@ -185,7 +186,9 @@ def b_correction(lam, t):
 
 
 def kernel_csv_rows(k: ReducedKernel, samples: int = 101):
-    """(t, Ktilde(t)) sample table for export."""
+    """(t, Ktilde(t)) sample table for export, t evenly spaced on [0, 1]."""
+    if samples < 2:
+        raise ValueError("samples must be >= 2")
     rows = []
     for i in range(samples):
         t = i / (samples - 1)

@@ -18,7 +18,7 @@ from scipy.integrate import solve_ivp
 
 from .kernels import plain_reduced_kernel, reduced_kernel
 from .series import refine_max
-from .specrad import UnconvergedError, convolution_radius, radius_refined
+from .specrad import UnconvergedError, radius_refined
 from .umqnorm import ConvexityClass
 
 #: ode_blowup integrates to _BLOWUP_RTOL until T reaches _BLOWUP_THRESHOLD;
@@ -157,10 +157,10 @@ def _kernel_radius(p_minus_1: int, lam: Fraction, cls: ConvexityClass,
     if lamF in (0, 1):
         return 0.0          # one-sided support: quasi-nilpotent kernel
     rk = reduced_kernel(p_minus_1, lamF, cls)
-    two = rk.two_sided()
     if lamF == Fraction(1, 2):
-        return float(convolution_radius(two))
-    res = radius_refined(two, tol=tol)
+        # convolution type: the radius is lam * integral(Ktilde) over [0, 1]
+        return float(rk.integral01() * rk.lam)
+    res = radius_refined(rk.two_sided(), tol=tol)
     if not res.converged:
         raise UnconvergedError(f"p-1 = {p_minus_1}, lam = {lamF}: {res.warning}")
     return res.radius

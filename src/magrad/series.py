@@ -11,7 +11,6 @@ sup over lam or t.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -79,10 +78,3 @@ def series_exp_linear(c, N: int) -> list:
         out.append(out[-1] * c / k)
     return out
 
-
-def factorial_fraction(n: int, *ds: int) -> Fraction:
-    """n! divided by the product of the factorials of ds."""
-    v = Fraction(factorial(n))
-    for d in ds:
-        v /= factorial(d)
-    return v

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -217,20 +216,6 @@ def power_iteration_hopf(grid: OperatorGrid, tol: float = 1e-8,
                         iterations=max_iter, eigvec=v, converged=False,
                         warning=f"bracket width {hi - lo:g} > tol after {max_iter} iterations",
                         brackets=brackets, n=n)
-
-
-def convolution_radius(kernel: TwoSidedKernel):
-    """Exact spectral radius of a two-sided kernel at lam = 1/2.
-
-    Only there is the kernel convolution type, and its radius is
-    lam * integral(Ktilde) over [0, 1].
-    """
-    lam = kernel.lam
-    if not (lam == Fraction(1, 2) or float(lam) == 0.5):
-        raise InvalidUseError(
-            "two-sided kernel is convolution type only at lam = 1/2"
-        )
-    return kernel.reduced.integral01() * lam
 
 
 #: first grid size of `radius_refined`, and how often it may double

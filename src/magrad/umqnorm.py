@@ -10,6 +10,11 @@ exactly; for irrational kappa (q=2, say) the optimum is piecewise linear and
 nondecreasing in kappa, so solving at the two endpoints of a certified
 rational enclosure of kappa yields a certified enclosure of the norm.
 
+The constraint matrix, its row words and each column's Xi count and scale
+depend only on the target's letter multiset, so `_lp` builds them once per
+multiset and shares them, read-only, across every solve; a solve builds only
+the right-hand side b (the target's coefficients) and the costs c(kappa).
+
 Exhaustive column enumeration is capped at degree 5.  Up to that degree a
 nested Xi is impossible (an inner Xi argument would already need degree 4,
 so a nested tree needs degree >= 7); exactness at degree >= 6 is not claimed
@@ -23,9 +28,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .freealg import NCPoly, Word, _check_degree, eval_lambda, mu_ab, perm_sum_l1
+from .freealg import NCPoly, _check_degree, eval_lambda, mu_ab, perm_sum_l1
 from .series import compositions
 from .simplex import simplex_min, verify_certificate
 
@@ -213,49 +219,59 @@ def _fill_leaves(t: tuple, letters: list[int]) -> tuple:
     return ("Xi",) + tuple(_fill_leaves(s, letters) for s in t[1:])
 
 
-@dataclass(frozen=True)
-class Column:
-    """Deduplicated LP column: normalized direction plus cost data.
+class _LP(NamedTuple):
+    """The (lam, kappa)-free structure of every LP over one letter multiset.
 
-    `poly` is scaled so its lexicographically first word has coefficient +1;
-    producing one unit of that direction with the underlying quasi-monomial
-    costs kappa**xi_count * inv_scale.
+    Column j is a deduplicated quasi-monomial; its direction is the
+    evaluation scaled so its lexicographically first word has coefficient
+    +1, and one unit of that direction costs kappa**xi[j] * scales[j].  A is
+    shared by every solve and read-only: sparse rows, one per row word, in
+    which LP column 2j is x+ and 2j+1 is x- of column j.
     """
 
-    qm: QuasiMonomial
-    poly: NCPoly
-    inv_scale: Fraction
-
-    def cost(self, kappa) -> Fraction:
-        return Fraction(kappa) ** self.qm.xi_count * self.inv_scale
-
-
-def _normalize_direction(p: NCPoly) -> tuple[NCPoly, Fraction]:
-    lead = p.terms[p.support[0]]
-    return p.scale(1 / lead), abs(lead)
+    qms: tuple       # the quasi-monomial of column j
+    xi: tuple        # its Xi count
+    scales: tuple    # 1/|lead coefficient| of its evaluation
+    rows: Mapping    # row word -> row index, words in sorted order
+    A: tuple         # read-only sparse rows: LP column -> nonzero entry
 
 
 @lru_cache(maxsize=None)
-def _columns_cached(degree: int, gens: tuple[int, ...]) -> tuple[Column, ...]:
-    shapes = _shapes_seq(degree)
-    best: dict[tuple, Column] = {}
+def _lp(degree: int, gens: tuple[int, ...]) -> _LP:
+    if degree > EXHAUSTIVE_CAP:
+        raise ExhaustiveCapError(
+            f"exhaustive mode unavailable above degree {EXHAUSTIVE_CAP};"
+            " use fa_norm_upper"
+        )
+    # direction key -> (cost at kappa = 3/4, qm, xi count, 1/|lead|, direction)
+    best: dict[tuple, tuple] = {}
     arrangements = sorted(set(itertools.permutations(gens)))
-    for seq in shapes:
+    for seq in _shapes_seq(degree):
         tree_shape = _seq_tree(seq)
         for arr in arrangements:
-            tree = _fill_leaves(tree_shape, list(arr))
-            qm = QuasiMonomial(tree)
+            qm = QuasiMonomial(_fill_leaves(tree_shape, list(arr)))
             p = qm.evaluate()
             if not p:
                 continue
-            direction, scale = _normalize_direction(p)
-            key = tuple(sorted((w, c) for w, c in direction.terms.items()))
-            col = Column(qm=qm, poly=direction, inv_scale=Fraction(1) / scale)
+            lead = p.terms[p.support[0]]
+            direction = p.scale(1 / lead).terms
+            key = tuple(sorted(direction.items()))
+            xi_count, scale = qm.xi_count, 1 / abs(lead)
+            cost = Fraction(3, 4) ** xi_count * scale
             prev = best.get(key)
-            # keep the cheapest representative (compare at the midpoint cost)
-            if prev is None or col.cost(Fraction(3, 4)) < prev.cost(Fraction(3, 4)):
-                best[key] = col
-    return tuple(best.values())
+            # keep the cheapest representative at kappa = 3/4: there a
+            # monomial (cost 1) beats any single-word column with a Xi node,
+            # whose coefficient is at most 1/2, so it costs at least 3/2
+            if prev is None or cost < prev[0]:
+                best[key] = (cost, qm, xi_count, scale, direction)
+    _, qms, xis, scales, directions = zip(*best.values())
+    rows = {w: i for i, w in enumerate(sorted({w for d in directions for w in d}))}
+    A: list[dict] = [{} for _ in rows]
+    for j, d in enumerate(directions):
+        for w, cv in d.items():
+            A[rows[w]].update({2 * j: cv, 2 * j + 1: -cv})
+    return _LP(qms, xis, scales, MappingProxyType(rows),
+               tuple(MappingProxyType(r) for r in A))
 
 
 def enumerate_quasimonomials(degree: int, generators: Sequence[int]) -> list[QuasiMonomial]:
@@ -267,11 +283,7 @@ def enumerate_quasimonomials(degree: int, generators: Sequence[int]) -> list[Qua
     gens = tuple(sorted(generators))
     if len(gens) != degree:
         raise ValueError("generator multiset size must equal the degree")
-    if degree > EXHAUSTIVE_CAP:
-        raise ExhaustiveCapError(
-            f"exhaustive mode unavailable above degree {EXHAUSTIVE_CAP}"
-        )
-    return [c.qm for c in _columns_cached(degree, gens)]
+    return list(_lp(degree, gens).qms)
 
 
 # ---------------------------------------------------------------------------
@@ -341,39 +353,15 @@ class NormValue:
         return NormValue(self.lo * c, self.hi * c, self.certificates)
 
 
-def _solve_at_kappa(target: NCPoly, columns: list[Column], rows: list[Word],
-                    kappa: Fraction) -> tuple[Fraction, NormCertificate]:
-    # LP column 2j is x+ and 2j+1 is x- of `columns[j]`.  Each row word is an
-    # arrangement of the target's letters, so it has a monomial column: the
-    # kappa = 3/4 dedup in `_columns_cached` keeps it over any single-word
-    # column with a Xi node, whose coefficient is at most 1/2, so it costs at
-    # least 3/2 there.  Its x+/x- pair gives every row the unit column
-    # `simplex_min` starts from, whatever the sign of b.
-    row_of = {w: i for i, w in enumerate(rows)}
-    A: list[dict] = [{} for _ in rows]
-    c = []
-    for j, col in enumerate(columns):
-        for w, cv in col.poly.terms.items():
-            A[row_of[w]].update({2 * j: cv, 2 * j + 1: -cv})
-        gamma = col.cost(kappa)
-        c += [gamma, gamma]
-    b = [Fraction(target.terms.get(w, 0)) for w in rows]
-    res = simplex_min(A, b, c)
-    if not verify_certificate(A, b, c, res):
-        raise AssertionError("exact LP certificate failed to verify")
-    coeffs = {j: v for j in range(len(columns))
-              if (v := res.x[2 * j] - res.x[2 * j + 1])}
-    cert = NormCertificate(kappa=kappa, value=res.value, coefficients=coeffs,
-                           duals=dict(zip(rows, res.y)), basis=res.basis)
-    return res.value, cert
-
-
 def fa_norm_exact(x: NCPoly, cls: ConvexityClass) -> NormValue:
     """Universal norm by exact LP; enclosure when kappa is irrational.
 
-    Feasibility is guaranteed (monomials alone span, and start the simplex),
-    so a missing start column signals an internal error.  The optimum never
-    exceeds the ell^1 norm.
+    One LP per distinct kappa endpoint, over the letter multiset's cached
+    structure: only the costs c(kappa) and the right-hand side b are built
+    here.  Every row word is an arrangement of the target's letters, so it
+    has a monomial column, whose x+/x- pair gives the row the unit column
+    `simplex_min` starts from, whatever the sign of b.  The optimum never
+    exceeds the ell^1 norm and is nondecreasing in kappa.
     """
     if not x:
         return NormValue(Fraction(0), Fraction(0))
@@ -386,22 +374,28 @@ def fa_norm_exact(x: NCPoly, cls: ConvexityClass) -> NormValue:
     if degree == 0:
         v = abs(Fraction(x.terms[()]))
         return NormValue(v, v)
-    if degree > EXHAUSTIVE_CAP:
-        raise ExhaustiveCapError(
-            f"exhaustive mode unavailable above degree {EXHAUSTIVE_CAP};"
-            " use fa_norm_upper"
-        )
-    columns = list(_columns_cached(degree, x.generator_multiset()))
-    words = set(x.terms)
-    for col in columns:
-        words.update(col.poly.terms)
-    rows = sorted(words)
-    lo_val, lo_cert = _solve_at_kappa(x, columns, rows, cls.kappa_lo)
-    if cls.exact:
-        return NormValue(lo_val, lo_val, [lo_cert])
-    hi_val, hi_cert = _solve_at_kappa(x, columns, rows, cls.kappa_hi)
-    # the optimum is nondecreasing in kappa
-    return NormValue(lo_val, hi_val, [lo_cert, hi_cert])
+    lp = _lp(degree, x.generator_multiset())
+    b = [Fraction(0)] * len(lp.rows)
+    for w, cv in x.terms.items():
+        if w not in lp.rows:
+            raise ValueError(f"target word {w} is not a row of its LP")
+        b[lp.rows[w]] = Fraction(cv)
+    certs = []
+    for kappa in dict.fromkeys((cls.kappa_lo, cls.kappa_hi)):
+        k, c = Fraction(kappa), []
+        for xi_count, scale in zip(lp.xi, lp.scales):
+            gamma = k ** xi_count * scale
+            c += (gamma, gamma)
+        res = simplex_min(lp.A, b, c)
+        if not verify_certificate(lp.A, b, c, res):
+            raise AssertionError("exact LP certificate failed to verify")
+        coeffs = {j: v for j in range(len(lp.qms))
+                  if (v := res.x[2 * j] - res.x[2 * j + 1])}
+        certs.append(NormCertificate(kappa=kappa, value=res.value,
+                                     coefficients=coeffs,
+                                     duals=dict(zip(lp.rows, res.y)),
+                                     basis=res.basis))
+    return NormValue(certs[0].value, certs[-1].value, certs)
 
 
 def fa_norm_upper(x: NCPoly, cls: ConvexityClass,

@@ -42,6 +42,16 @@ class TestTheta:
         code = main(["theta"])
         assert code == 2
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_out_file_takes_every_format(self, tmp_path, capsys, fmt):
+        path = tmp_path / "t.out"
+        argv = ("theta", "--k", "4", "--lambda", "1/2", "--q", "1",
+                "--format", fmt)
+        code, shown = run(capsys, *argv)
+        code_out, out = run(capsys, *argv, "--out", str(path))
+        assert code == code_out == 0 and out == ""
+        assert path.read_text() == shown and "5/48" in shown
+
 
 class TestNorm:
     def test_file_roundtrip(self, tmp_path, capsys):
@@ -55,6 +65,26 @@ class TestNorm:
         assert code == 0 and data["norm"]["value"] == "5/2"
         certs = json.loads(cert.read_text())["certificates"]
         assert certs and certs[0]["value"] == "5/2"
+
+    @pytest.mark.parametrize("doc,message", [
+        # a multi-entry coeff list reads as a polynomial in lambda
+        ('{"degree": 2, "terms": [{"word": [1, 2], "coeff": ["0", "1"]}]}',
+         "norm needs rational coefficients"),
+        ('{"degree": 2}', "malformed polynomial JSON"),
+        ('{"terms": [{"word": [1, 2]}]}', "malformed polynomial JSON"),
+        ('[1, 2]', "malformed polynomial JSON"),
+        ('{"terms": [{"word": [1.5, 2], "coeff": ["1"]}]}',
+         "word letters must be integers"),
+        ('{"terms": [', "Expecting value")],
+        ids=["lambda-poly", "no-terms", "no-coeff", "not-an-object",
+             "float-letter", "not-json"])
+    def test_unusable_polynomial_is_usage_error(self, tmp_path, capsys, doc,
+                                                message):
+        path = tmp_path / "poly.json"
+        path.write_text(doc)
+        code = main(["norm", str(path), "--q", "1"])
+        cap = capsys.readouterr()
+        assert code == 2 and cap.out == "" and message in cap.err
 
 
 class TestKernelRadius:
@@ -70,6 +100,20 @@ class TestKernelRadius:
                         "--samples", "3")
         lines = out.strip().splitlines()
         assert code == 0 and lines[0] == "t,ktilde" and len(lines) == 4
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("samples", ["0", "1", "-5"])
+    def test_samples_below_two_is_usage_error(self, capsys, fmt, samples):
+        code = main(["kernel", "--p-minus-1", "2", "--format", fmt,
+                     "--samples", samples])
+        cap = capsys.readouterr()
+        assert code == 2 and cap.out == "" and "samples must be >= 2" in cap.err
+
+    def test_two_samples_are_the_end_points(self, capsys):
+        code, out = run(capsys, "kernel", "--p-minus-1", "2", "--lambda",
+                        "1/3", "--format", "csv", "--samples", "2")
+        assert code == 0 and [r.split(",")[0] for r in
+                              out.splitlines()] == ["t", "0", "1"]
 
     def test_degree_caps_come_from_theta_sources(self, capsys):
         # plain Theta reaches degree 8; LP-backed classes stop at degree 5

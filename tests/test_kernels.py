@@ -1,6 +1,7 @@
 """Reduced kernels, generating-function oracles, and the correction polynomial."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -14,7 +15,7 @@ from magrad.kernels import (
     reduced_kernel,
 )
 from magrad.magnus import euler_coeffs
-from magrad.series import factorial_fraction, series_div
+from magrad.series import series_div
 from magrad.umqnorm import PLAIN, ConvexityClass, theta_ab, theta_k
 
 Q1 = ConvexityClass.from_q(1)
@@ -34,7 +35,7 @@ def g_series(lam, N: int) -> list:
     lam = Fraction(lam)
     # numerator/(x*(2 lam - 1)): coefficient k is sum_i lam^i (1-lam)^(k-i)/(k+1)!
     num = [sum((lam ** i) * ((1 - lam) ** (k - i)) for i in range(k + 1))
-           / factorial_fraction(k + 1) for k in range(N)]
+           / factorial(k + 1) for k in range(N)]
     den = _denominator_series(lam, N)
     g = series_div(num, den, N - 1) if N >= 1 else []
     return [Fraction(0)] + g

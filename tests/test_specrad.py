@@ -11,12 +11,11 @@ from scipy.linalg import matmul_toeplitz
 
 from magrad import specrad
 from magrad.kernels import TwoSidedKernel, plain_reduced_kernel, reduced_kernel
-from magrad.magnus import w_plain
+from magrad.magnus import _kernel_radius, c_bound_pth_root, w_plain
 from magrad.specrad import (
     InvalidKernelError,
     InvalidUseError,
     OperatorGrid,
-    convolution_radius,
     discretize,
     power_iteration_hopf,
     radius_refined,
@@ -151,23 +150,26 @@ class TestPowerIteration:
 
 
 class TestConvolutionRadius:
-    def test_constant_half_point_kernel(self):
-        two = reduced_kernel(4, Fraction(1, 2), Q1).two_sided()
-        assert convolution_radius(two) == Fraction(5, 192)
+    """At lam = 1/2 the kernel is convolution type and `_kernel_radius`
+    returns lam * integral(Ktilde) over [0, 1] without a grid."""
 
-    def test_zero_kernel(self):
-        from magrad.kernels import ReducedKernel
-        rk = ReducedKernel(coeffs=(), lam=Fraction(1, 2), p_minus_1=1)
-        assert convolution_radius(rk.two_sided()) == 0
+    def test_constant_half_point_kernel(self):
+        assert _kernel_radius(4, Fraction(1, 2), Q1) == float(Fraction(5, 192))
 
     def test_plain_degree_zero(self):
-        two = plain_reduced_kernel(0, Fraction(1, 2)).two_sided()
-        assert convolution_radius(two) == Fraction(1, 2)
+        assert _kernel_radius(0, Fraction(1, 2), PLAIN) == 0.5
+        r = c_bound_pth_root(Fraction(1, 2), 1, PLAIN)
+        assert r.details["kernel_radius"] == 0.5 and r.lower == 2.0
 
-    def test_off_center_two_sided_rejected(self):
-        two = plain_reduced_kernel(0, Fraction(1, 3)).two_sided()
-        with pytest.raises(InvalidUseError):
-            convolution_radius(two)
+    def test_off_center_is_refined_and_agrees_at_half(self):
+        for p_minus_1, lam, cls in ((0, Fraction(1, 3), PLAIN),
+                                    (4, Fraction(1, 3), Q1)):
+            two = reduced_kernel(p_minus_1, lam, cls).two_sided()
+            assert _kernel_radius(p_minus_1, lam, cls) \
+                == radius_refined(two, tol=1e-8).radius
+        two = reduced_kernel(4, Fraction(1, 2), Q1).two_sided()
+        assert radius_refined(two, tol=1e-8).radius == pytest.approx(
+            _kernel_radius(4, Fraction(1, 2), Q1), abs=1e-8)
 
 
 class TestRadiusRefined:

@@ -1,14 +1,15 @@
 """Quasi-monomial enumeration and the exact LP norm."""
 
+import copy
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+from magrad import umqnorm
 from magrad.freealg import DegreeError, NCPoly, eval_lambda, l1_norm, mu_ab, mu_lambda
 from magrad.umqnorm import (
     PLAIN,
-    Column,
     ConvexityClass,
     ExhaustiveCapError,
     enumerate_quasimonomials,
@@ -20,7 +21,7 @@ from magrad.umqnorm import (
     theta_k,
     xi,
     xi_eval,
-    _columns_cached,
+    _lp,
 )
 
 Q1 = ConvexityClass.from_q(1)
@@ -152,21 +153,29 @@ class TestNormExact:
             fa_norm_exact(mono(1) + mono(1, 2), Q1)
 
     def test_certificates_verify_independently(self):
+        # columns rebuilt from the public enumeration, each normalized by its
+        # lead coefficient: direction poly / lead, unit cost kappa**xi / |lead|
         p = eval_lambda(mu_ab(0, 4), Fraction(1, 3))
         v = fa_norm_exact(p, Q1)
         (cert,) = v.certificates
-        cols = _columns_cached(4, (1, 2, 3, 4))
+        cols = []
+        for qm in enumerate_quasimonomials(4, (1, 2, 3, 4)):
+            poly = qm.evaluate()
+            lead = poly.terms[poly.support[0]]
+            cols.append((poly.scale(1 / lead),
+                         cert.kappa ** qm.xi_count / abs(lead)))
         # dual feasibility: |y . column| <= cost for every column
-        for col in cols:
+        for poly, unit_cost in cols:
             pairing = sum(cert.duals.get(w, Fraction(0)) * cv
-                          for w, cv in col.poly.terms.items())
-            assert abs(pairing) <= col.cost(cert.kappa)
+                          for w, cv in poly.terms.items())
+            assert abs(pairing) <= unit_cost
         # primal reconstruction hits the target and the value
         acc = NCPoly()
         cost = Fraction(0)
         for j, cv in cert.coefficients.items():
-            acc = acc + cols[j].poly.scale(cv)
-            cost += abs(cv) * cols[j].cost(cert.kappa)
+            poly, unit_cost = cols[j]
+            acc = acc + poly.scale(cv)
+            cost += abs(cv) * unit_cost
         assert acc == p and cost == v.value
         # dual objective equals the optimum
         dual_val = sum(cert.duals[w] * c for w, c in p.terms.items())
@@ -177,11 +186,41 @@ class TestNormExact:
         # mu_ab(0, 4) at lam = 1/3 splits into several support components,
         # all solved as one LP: column 2j is x+ and 2j+1 is x- of column j
         p = eval_lambda(mu_ab(0, 4), Fraction(1, 3))
-        cols = _columns_cached(4, (1, 2, 3, 4))
-        rows = {w for col in cols for w in col.poly.terms}
+        qms = enumerate_quasimonomials(4, (1, 2, 3, 4))
+        rows = {w for qm in qms for w in qm.evaluate().terms}
         for cert in fa_norm_exact(p, cls).certificates:
             assert len(cert.basis) == len(set(cert.basis)) == len(rows)
-            assert all(0 <= e < 2 * len(cols) for e in cert.basis)
+            assert all(0 <= e < 2 * len(qms) for e in cert.basis)
+
+
+class TestLPStructure:
+    def test_built_once_per_letter_multiset(self):
+        _lp.cache_clear()
+        for cls in (Q1, Q2):
+            for k in range(1, 8):
+                lam = Fraction(k, 8)
+                for a in range(5):
+                    fa_norm_exact(eval_lambda(mu_ab(a, 4 - a), lam), cls)
+        fa_norm_exact(mono(1, 1, 2, 3), Q1)
+        assert _lp.cache_info().misses == 2
+        assert _lp.cache_info().hits == 2 * 7 * 5 - 1
+
+    def test_solves_leave_the_shared_matrix_unchanged(self):
+        lp = _lp(4, (1, 2, 3, 4))
+        before = copy.deepcopy([dict(row) for row in lp.A])
+        for cls in (Q1, Q2, PLAIN):
+            fa_norm_exact(eval_lambda(mu_ab(1, 3), Fraction(2, 5)), cls)
+        assert [dict(row) for row in lp.A] == before
+        with pytest.raises(TypeError):
+            lp.A[0][0] = Fraction(0)
+
+    def test_target_word_outside_the_rows_raises(self, monkeypatch):
+        lp = _lp(4, (1, 2, 3, 4))
+        rows = {w: i for i, w in enumerate(lp.rows) if w != (1, 2, 3, 4)}
+        monkeypatch.setattr(umqnorm, "_lp",
+                            lambda degree, gens: lp._replace(rows=rows))
+        with pytest.raises(ValueError, match="not a row"):
+            fa_norm_exact(mono(1, 2, 3, 4), Q1)
 
 
 class TestNormUpper:
