@@ -76,13 +76,6 @@ class UpsilonL1:
     x: tuple
 
 
-@lru_cache(maxsize=None)
-def _component_factors() -> tuple:
-    """(c2^2, c3): the coefficients of the (3,5) cross-term words."""
-    c = resolvent_series(3)
-    return c[2] * c[2], c[3]
-
-
 @dataclass(frozen=True)
 class _LamTable:
     """Per-lam columns: |c_n(lam)| for n <= _N, c2^2, c3, lam(1-lam), its cube."""
@@ -94,25 +87,38 @@ class _LamTable:
     pref3: np.ndarray
 
 
+@lru_cache(maxsize=None)
+def _coeff_rows() -> np.ndarray:
+    """c_0..c_N and the (3,5) cross-term word coefficients c2^2 and c3 as
+    float rows, highest power first; leading zeros pad the shorter ones."""
+    c = resolvent_series(_N)
+    polys = (*c, c[2] * c[2], c[3])
+    width = max(len(p.coeffs) for p in polys)
+    return np.array([[0.0] * (width - len(p.coeffs))
+                     + [float(c) for c in reversed(p.coeffs)] for p in polys])
+
+
 def _lam_table(lams) -> _LamTable:
     """Columns evaluated at mu = min(lam, 1-lam).
 
     |c_n|, c2^2, c3 and lam(1-lam) are invariant under lam <-> 1-lam, and
     1-lam is exact in floats for lam >= 1/2.  Float Horner of the c_n loses
     every digit near lam = 1 (coefficients up to ~1e3, c_24(1) = 1/24!),
-    but not near 0; on [0, 1/2] mu = lam.
+    but not near 0; on [0, 1/2] mu = lam.  All rows go through one stacked
+    Horner: per element the IEEE multiply and add of `series.horner`, and a
+    padding zero stays 0 * mu + 0 = 0, so every bit is as per polynomial.
     """
-    lams = [float(l) for l in lams]
-    if not all(0.0 <= l <= 1.0 for l in lams):
+    lams = np.array([float(l) for l in lams])
+    if not np.all((0.0 <= lams) & (lams <= 1.0)):
         raise ValueError("lam must lie in [0, 1]")
-    mus = [min(l, 1.0 - l) for l in lams]
-    c = resolvent_series(_N)
-    c2sq_p, c3_p = _component_factors()
-    pref = np.array([l * (1.0 - l) for l in lams])
-    return _LamTable(abs_c=np.array([[abs(cn(m)) for m in mus] for cn in c]),
-                     c2sq=np.array([c2sq_p(m) for m in mus]),
-                     c3=np.array([c3_p(m) for m in mus]),
-                     pref=pref, pref3=float_pow(pref, 3))
+    mus = np.minimum(lams, 1.0 - lams)
+    coeffs = _coeff_rows()
+    rows = np.zeros((len(coeffs), len(mus)))
+    for col in coeffs.T:
+        rows = rows * mus + col[:, None]
+    pref = lams * (1.0 - lams)
+    return _LamTable(abs_c=np.abs(rows[:_N + 1]), c2sq=rows[_N + 1],
+                     c3=rows[_N + 2], pref=pref, pref3=float_pow(pref, 3))
 
 
 @lru_cache(maxsize=None)
@@ -224,22 +230,29 @@ class GainReport:
     diagnostic: Optional[str] = None
 
 
-def _cube_bound(t: _LamTable, cls: ConvexityClass, x1: float,
-                x2: float) -> tuple:
-    """(l1, l1^3, gain, conclusive, aligned) in every column of the table.
+def _gain(t: _LamTable, cls: ConvexityClass, x1: float, x2: float) -> tuple:
+    """(gain, aligned) in every column of the table.
 
-    ell^1 of Ups^3 factorizes as l1^3; when the (3,5) signs align
-    (c3 < 0 < c2^2) the cross-term peels off 4*min(c2^2, |c3|)*(1-kappa)
-    times lam^3 (1-lam)^3 x1^3 x2^5, and the mirrored (5,3) component
-    contributes the same with x-powers swapped.  The gain uses the upper
-    kappa endpoint, so the bound l1^3 - gain stays valid for enclosed kappa.
+    When the (3,5) signs align (c3 < 0 < c2^2) the cross-term peels off
+    4*min(c2^2, |c3|)*(1-kappa) times lam^3 (1-lam)^3 x1^3 x2^5, and the
+    mirrored (5,3) component contributes the same with x-powers swapped.
+    The gain uses the upper kappa endpoint, so the bound l1^3 - gain stays
+    valid for enclosed kappa.
     """
-    value, _, _, _, ok = _upsilon(t, x1, x2)
     one_minus_kappa = 1.0 - float(cls.kappa_hi)
     aligned = (t.c3 < 0.0) & (0.0 < t.c2sq)
     unit = 4.0 * np.minimum(t.c2sq, -t.c3) * one_minus_kappa * t.pref3
     gain = np.where(aligned & (one_minus_kappa > 0.0),
                     unit * (x1 ** 3 * x2 ** 5 + x1 ** 5 * x2 ** 3), 0.0)
+    return gain, aligned
+
+
+def _cube_bound(t: _LamTable, cls: ConvexityClass, x1: float,
+                x2: float) -> tuple:
+    """(l1, l1^3, gain, conclusive, aligned) in every column of the table;
+    ell^1 of Ups^3 factorizes as l1^3."""
+    value, _, _, _, ok = _upsilon(t, x1, x2)
+    gain, aligned = _gain(t, cls, x1, x2)
     return value, float_pow(value, 3), gain, ok, aligned
 
 
@@ -270,6 +283,30 @@ def max_upsilon_l1(x1: float, x2: float) -> tuple:
 _S_LO, _S_HI, _S_STEP = 2.885, 2.925, 2.5e-4
 
 
+@lru_cache(maxsize=None)
+def _scan_points() -> tuple:
+    """The scanned s, accumulated by s += _S_STEP from _S_LO: the pinned
+    thresholds carry this accumulation's rounding, not _S_LO + i*_S_STEP's."""
+    points, s = [], _S_LO
+    while s <= _S_HI + 1e-12:
+        points.append(s)
+        s += _S_STEP
+    return tuple(points)
+
+
+@lru_cache(maxsize=None)
+def _scan_cube(i: int) -> np.ndarray:
+    """ell^1(Ups)^3 on the lam grid at x1 = x2 = s_i/2: the same for every
+    class, so one column per scan index serves all of them."""
+    x = _scan_points()[i] / 2.0
+    return float_pow(_upsilon(_grid_table(), x, x)[0], 3)
+
+
+def _cube_root(sup: float) -> float:
+    """sup**(1/3), with 0 for a negative or NaN sup."""
+    return sup ** (1.0 / 3.0) if sup >= 0 else 0.0
+
+
 @dataclass
 class C2ScanResult:
     value: float          # largest scanned s with sup < 1
@@ -281,26 +318,25 @@ def c2_improved(cls: ConvexityClass) -> C2ScanResult:
     """Largest scanned s with sup over lam of the Ups^3 bound below 1, at
     x1 = x2 = s/2 and in cube-root form.
 
-    With the plain class the gain vanishes and this reproduces the C2
-    threshold to grid resolution; with a genuine cross cost the threshold
-    moves strictly past C2.
+    The walk starts at the top of the scan and stops at the first s whose
+    root is below 1, the answer of a full upward scan.  At each s the cached
+    class-free column l1^3 (`_scan_cube`) less this class's gain gives the
+    grid values.  Bounded refinement never returns less than the grid
+    maximum, so it runs only where it can decide: a grid root in
+    (1 - 1e-4, 1).  With the plain class the gain vanishes and this
+    reproduces the C2 threshold to grid resolution; with a genuine cross
+    cost the threshold moves strictly past C2.
     """
-    best = best_sup = None
-    s = _S_LO
-    while s <= _S_HI + 1e-12:
-        x = s / 2.0
-        _, l1c, gain, _, _ = _cube_bound(_grid_table(), cls, x, x)
-        vals = l1c - gain
-        sup = vals.max()
-        # refine only near the threshold, where the decision is sensitive
-        if abs(sup ** (1.0 / 3.0) - 1.0) < 1e-4:
+    points = _scan_points()
+    for i in reversed(range(len(points))):
+        x = points[i] / 2.0
+        vals = _scan_cube(i) - _gain(_grid_table(), cls, x, x)[0]
+        root = _cube_root(vals.max())
+        if root < 1.0 and 1.0 - root < 1e-4:
             sup, _ = refine_max(lambda l: bch_gain_upper(float(l), cls, x, x).bound,
                                 _LAM_GRID, vals)
-        root = sup ** (1.0 / 3.0) if sup >= 0 else 0.0
+            root = _cube_root(sup)
         if root < 1.0:
-            best, best_sup = s, root
-        s += _S_STEP
-    if best is None:
-        raise RuntimeError("no scanned s had sup below 1")
-    return C2ScanResult(value=best, margin=best - C2_REFERENCE,
-                        sup_at_value=best_sup)
+            return C2ScanResult(value=points[i], margin=points[i] - C2_REFERENCE,
+                                sup_at_value=root)
+    raise RuntimeError("no scanned s had sup below 1")

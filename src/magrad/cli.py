@@ -17,8 +17,9 @@ from functools import partial
 
 from . import bch as bch_mod
 from . import convexity, kernels, magnus, specrad, verify
-from .freealg import NCPoly
-from .umqnorm import PLAIN, ConvexityClass, fa_norm_exact, theta_ab, theta_k
+from .freealg import DEFAULT_MAX_DEGREE, NCPoly
+from .umqnorm import (EXHAUSTIVE_CAP, PLAIN, ConvexityClass, ExhaustiveCapError,
+                      fa_norm_exact, theta_ab, theta_k)
 
 SCHEMA = "magrad/1"
 
@@ -40,7 +41,10 @@ def _parse_lambda(s: str) -> Fraction:
 def _parse_class(s: str) -> ConvexityClass:
     if s in ("plain", "inf", "ell1"):
         return PLAIN
-    return ConvexityClass.from_q(_parse_fraction(s))
+    try:
+        return ConvexityClass.from_q(_parse_fraction(s))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{exc}: {s!r}") from exc
 
 
 def _round12(obj):
@@ -335,6 +339,14 @@ def main(argv=None) -> int:
     except specrad.UnconvergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ExhaustiveCapError:
+        # `norm` solves the LP for every class; plain Theta needs none
+        limit = (f"the exact LP reaches degree {EXHAUSTIVE_CAP}"
+                 if args.command == "norm" else
+                 f"LP-backed classes (q >= 1) reach degree {EXHAUSTIVE_CAP};"
+                 f" --q plain reaches degree {DEFAULT_MAX_DEGREE}")
+        print(f"error: {limit}", file=sys.stderr)
+        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,6 +19,7 @@ from magrad.bch import (
     upsilon_power_component,
 )
 from magrad.freealg import LambdaPoly, eval_lambda, l1_norm
+from magrad.series import refine_max
 from magrad.umqnorm import PLAIN, ConvexityClass, fa_norm_upper
 
 Q1 = ConvexityClass.from_q(1)
@@ -280,3 +281,82 @@ class TestPinnedBits:
             lam = float(bch._LAM_GRID[i])
             assert value[i] == upsilon_l1(lam, x, x).value
             assert l1c[i] - gain[i] == bch_gain_upper(lam, Q1, x, x).bound
+
+
+def full_scan(cls):
+    """The upward scan over every s, refining wherever the grid root lies
+    within 1e-4 of 1: the oracle of the downward walk in c2_improved."""
+    best = best_sup = None
+    s = bch._S_LO
+    while s <= bch._S_HI + 1e-12:
+        x = s / 2.0
+        _, l1c, gain, _, _ = bch._cube_bound(bch._grid_table(), cls, x, x)
+        vals = l1c - gain
+        sup = vals.max()
+        if abs(sup ** (1.0 / 3.0) - 1.0) < 1e-4:
+            sup, _ = refine_max(
+                lambda l: bch_gain_upper(float(l), cls, x, x).bound,
+                bch._LAM_GRID, vals)
+        root = sup ** (1.0 / 3.0) if sup >= 0 else 0.0
+        if root < 1.0:
+            best, best_sup = s, root
+        s += bch._S_STEP
+    return best, best_sup
+
+
+class TestScanWalk:
+    """The downward walk over cached class-free columns against the full
+    upward scan, bit for bit."""
+
+    # q -> (value, sup_at_value) as float.hex, from the full upward scan
+    PINNED = {
+        None: ("0x1.72f9db22d0e45p+1", "0x1.ffdf09e99babbp-1"),
+        1: ("0x1.73b645a1cabf0p+1", "0x1.ffe43cf0df516p-1"),
+        Fraction(3, 2): ("0x1.73851eb851ea2p+1", "0x1.ffe0daacecdbdp-1"),
+        2: ("0x1.736c8b43957fbp+1", "0x1.fff37ce09811bp-1"),
+        3: ("0x1.734bc6a7ef9c7p+1", "0x1.fff1e2844903dp-1"),
+        4: ("0x1.733b645a1caadp+1", "0x1.fff7cc8dcb319p-1"),
+        8: ("0x1.731a9fbe76c79p+1", "0x1.ffe591cb4176bp-1"),
+        100: ("0x1.73020c49ba5d2p+1", "0x1.fff78d411c1f1p-1"),
+    }
+
+    @staticmethod
+    def cls_of(q):
+        return PLAIN if q is None else ConvexityClass.from_q(q)
+
+    @pytest.mark.parametrize("q", list(PINNED), ids=str)
+    def test_walk_equals_full_scan(self, q):
+        cls = self.cls_of(q)
+        r = c2_improved(cls)
+        got = (float.hex(r.value), float.hex(float(r.sup_at_value)))
+        want_value, want_sup = full_scan(cls)
+        assert got == (float.hex(want_value), float.hex(float(want_sup)))
+        assert got == self.PINNED[q]
+
+    def test_independent_of_call_order(self):
+        bch._scan_cube.cache_clear()
+        for q in (2, None):
+            r = c2_improved(self.cls_of(q))
+            assert (float.hex(r.value), float.hex(float(r.sup_at_value))) \
+                == self.PINNED[q]
+
+    def test_column_cache_holds_one_entry_per_scan_point(self):
+        for q in self.PINNED:
+            c2_improved(self.cls_of(q))
+        points = bch._scan_points()
+        assert len(points) == 161
+        assert 0 < bch._scan_cube.cache_info().currsize <= len(points)
+
+    def test_refines_only_a_grid_root_just_below_one(self, monkeypatch):
+        # refinement never lowers the sup, so a grid root >= 1 must not
+        # pay for it
+        roots = []
+
+        def spy(f, xs, vals, *args):
+            roots.append(float(vals.max()) ** (1.0 / 3.0))
+            return refine_max(f, xs, vals, *args)
+
+        monkeypatch.setattr(bch, "refine_max", spy)
+        for q in self.PINNED:
+            c2_improved(self.cls_of(q))
+        assert roots and all(1.0 - 1e-4 < r < 1.0 for r in roots)

@@ -124,6 +124,19 @@ class TestKernelRadius:
             assert code == 0 and json.loads(out)["coeffs"] == [str(c) for c in want]
         assert main(["kernel", "--p-minus-1", "6", "--q", "1"]) == 2
 
+    def test_cap_error_names_the_cli_limits(self, tmp_path, capsys):
+        code = main(["kernel", "--p-minus-1", "6", "--q", "1"])
+        err = capsys.readouterr().err
+        assert code == 2 and "fa_norm_upper" not in err
+        assert err == ("error: LP-backed classes (q >= 1) reach degree 5;"
+                       " --q plain reaches degree 8\n")
+        # `norm` takes the LP for every class, plain included
+        path = tmp_path / "poly.json"
+        path.write_text(eval_lambda(mu_lambda(6), Fraction(1, 2)).to_json())
+        code = main(["norm", str(path), "--q", "plain"])
+        err = capsys.readouterr().err
+        assert code == 2 and err == "error: the exact LP reaches degree 5\n"
+
     def test_radius_json(self, capsys):
         code, out = run(capsys, "radius", "--p-minus-1", "0",
                         "--lambda", "1/3", "--n", "256")
@@ -209,6 +222,16 @@ class TestLambdaRange:
             code, out = run(capsys, "kernel", "--p-minus-1", "2",
                             "--q", "plain", "--lambda", lam)
             assert code == 0 and json.loads(out)["lam"] == lam
+
+
+class TestClassOption:
+    @pytest.mark.parametrize("argv", [("radius",), ("bch", "--l1")])
+    @pytest.mark.parametrize("q", ["0", "1/2"])
+    def test_q_below_one_is_usage_error(self, capsys, argv, q):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--q", q])
+        assert exc.value.code == 2
+        assert f"argument --q: q must be >= 1: '{q}'" in capsys.readouterr().err
 
 
 class TestDeterminism:
