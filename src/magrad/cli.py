@@ -188,7 +188,7 @@ def cmd_scan(args) -> int:
     _emit({"p": args.p, "q": args.q.describe(), "lipschitz_logodds_ok": ok,
            "rows": [list(r) for r in rows]},
           args, csv_rows=rows, csv_header=("lam", "w", "c_bound"))
-    return 0
+    return 0 if ok else 1
 
 
 def cmd_bch(args) -> int:

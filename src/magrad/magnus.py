@@ -86,14 +86,17 @@ def ode_blowup(lam: float, corrections: Sequence[tuple] = ()) -> float:
     E(x) = sum gap*k*x^(k-1) over the corrections.  Integration runs to the
     threshold and the analytic tail 1/(lam*(1-lam)*threshold) accounts for
     the remaining time to infinity.  Returns +inf at lam in {0, 1}; with
-    E = 0 this reproduces the plain closed form.
+    E = 0 this reproduces the plain closed form.  Gaps must be finite and
+    nonnegative; UnconvergedError when the window ends without a blow-up.
     """
+    corr = [(int(k), float(g)) for k, g in corrections]
+    if not all(0.0 <= g < math.inf for _, g in corr):
+        raise ValueError("correction gaps must be finite and nonnegative")
     lam = float(lam)
     if lam in (0.0, 1.0):
         return math.inf
     if not 0.0 < lam < 1.0:
         raise ValueError("lam must lie in [0, 1]")
-    corr = [(int(k), float(g)) for k, g in corrections]
 
     def rhs(x, y):
         th = y[0]
@@ -109,7 +112,8 @@ def ode_blowup(lam: float, corrections: Sequence[tuple] = ()) -> float:
     sol = solve_ivp(rhs, (0.0, x_max), [0.0], events=hit,
                     rtol=_BLOWUP_RTOL, atol=1e-12, method="RK45")
     if not sol.t_events[0].size:
-        raise RuntimeError("no blow-up detected inside the integration window")
+        raise UnconvergedError("no blow-up detected inside the integration "
+                               f"window [0, {x_max:g}]")
     t_hit = float(sol.t_events[0][0])
     return t_hit + 1.0 / (lam * (1.0 - lam) * _BLOWUP_THRESHOLD)
 
@@ -153,16 +157,9 @@ def _kernel_radius(p_minus_1: int, lam: Fraction, cls: ConvexityClass,
     UnconvergedError when the grid refinement did not settle."""
     if p_minus_1 < 0:
         raise ValueError("p-1 must be >= 0")
-    lamF = Fraction(lam)
-    if lamF in (0, 1):
-        return 0.0          # one-sided support: quasi-nilpotent kernel
-    rk = reduced_kernel(p_minus_1, lamF, cls)
-    if lamF == Fraction(1, 2):
-        # convolution type: the radius is lam * integral(Ktilde) over [0, 1]
-        return float(rk.integral01() * rk.lam)
-    res = radius_refined(rk.two_sided(), tol=tol)
+    res = radius_refined(reduced_kernel(p_minus_1, lam, cls).two_sided(), tol=tol)
     if not res.converged:
-        raise UnconvergedError(f"p-1 = {p_minus_1}, lam = {lamF}: {res.warning}")
+        raise UnconvergedError(f"p-1 = {p_minus_1}, lam = {Fraction(lam)}: {res.warning}")
     return res.radius
 
 
@@ -230,15 +227,16 @@ def maglower_floor(cls: ConvexityClass) -> float:
 def upper_trivial(cls: ConvexityClass, variant: str = "cayley",
                   lam=None) -> BoundReport:
     """Cost-relaxation upper bounds: 2*2^(1/(3q)), or C(lam)*2^(1/(3q))."""
+    if variant not in ("cayley", "magnus"):
+        raise ValueError("variant must be 'cayley' or 'magnus'")
+    if variant == "magnus" and lam is None:
+        raise ValueError("the magnus variant needs lam")
     if cls.q is None and not cls.is_plain:
         raise ValueError("trivial upper bound needs a q-based class")
     growth = 1.0 if cls.is_plain else 2.0 ** (1.0 / (3.0 * float(cls.q)))
-    if variant == "cayley" or lam is None:
-        return BoundReport(method="trivial-upper", q=cls.describe(),
-                           lam=0.5 if variant == "cayley" else None,
+    if variant == "cayley":
+        return BoundReport(method="trivial-upper", q=cls.describe(), lam=0.5,
                            upper=2.0 * growth, details={"variant": variant})
-    if variant != "magnus":
-        raise ValueError("variant must be 'cayley' or 'magnus'")
     return BoundReport(method="trivial-upper", q=cls.describe(), lam=float(lam),
                        upper=c_plain(float(lam)) * growth,
                        details={"variant": variant})

@@ -185,6 +185,7 @@ def power_iteration_hopf(grid: OperatorGrid, tol: float = 1e-8,
     v = np.ones(n)
     lo, hi = 0.0, np.inf
     brackets = []
+    converged, warning = True, None
     for k in range(max_iter):
         w = grid.matvec(v)
         if not np.isfinite(w).all():
@@ -193,8 +194,8 @@ def power_iteration_hopf(grid: OperatorGrid, tol: float = 1e-8,
         wmax = w.max()
         if wmax <= 0.0:
             brackets.append((0.0, 0.0))
-            return RadiusResult(radius=0.0, bracket=(0.0, 0.0), iterations=k + 1,
-                                eigvec=v, brackets=brackets, n=n)
+            lo = hi = 0.0
+            break
         mask = v > 0                # zero entries of v carry no ratio
         ratios = w[mask] / v[mask]
         nlo, nhi = _widen(float(ratios.min()), float(ratios.max()))
@@ -202,20 +203,19 @@ def power_iteration_hopf(grid: OperatorGrid, tol: float = 1e-8,
         if nlo > nhi:
             # ratio jitter exceeded the previous width: noise floor reached,
             # the previous bracket is still a valid enclosure
-            return RadiusResult(radius=0.5 * (lo + hi), bracket=(lo, hi),
-                                iterations=k + 1, eigvec=v, converged=hi - lo <= tol,
-                                warning="floating-point noise floor reached",
-                                brackets=brackets, n=n)
+            converged = hi - lo <= tol
+            warning = "floating-point noise floor reached"
+            break
         lo, hi = nlo, nhi
         brackets.append((lo, hi))
         v = w / wmax
         if hi - lo <= tol:
-            return RadiusResult(radius=0.5 * (lo + hi), bracket=(lo, hi),
-                                iterations=k + 1, eigvec=v, brackets=brackets, n=n)
-    return RadiusResult(radius=0.5 * (lo + hi), bracket=(lo, hi),
-                        iterations=max_iter, eigvec=v, converged=False,
-                        warning=f"bracket width {hi - lo:g} > tol after {max_iter} iterations",
-                        brackets=brackets, n=n)
+            break
+    else:
+        k = max_iter - 1    # also when the loop never runs (max_iter = 0)
+        converged, warning = False, f"bracket width {hi - lo:g} > tol after {max_iter} iterations"
+    return RadiusResult(radius=0.5 * (lo + hi), bracket=(lo, hi), iterations=k + 1, eigvec=v,
+                        converged=converged, warning=warning, brackets=brackets, n=n)
 
 
 #: first grid size of `radius_refined`, and how often it may double
@@ -234,7 +234,12 @@ def radius_refined(kernel: KernelLike, tol: float = 1e-6) -> RadiusResult:
     The result keeps the finest grid's bracket, brackets and iterations but
     no eigenvector (`eigvec` is None): its radius is the extrapolant, not
     that grid's eigenvalue.  Run `power_iteration_hopf` on a grid for one.
+    A two-sided kernel at lam = 1/2 is convolution type: its radius is
+    lam * integral(Ktilde) over [0, 1], returned without a grid.
     """
+    if isinstance(kernel, TwoSidedKernel) and kernel.lam == 0.5:
+        r = float(kernel.reduced.integral01() * kernel.lam)
+        return RadiusResult(radius=r, bracket=(r, r), iterations=0)
     values, last = [], None
     for level in range(REFINE_DOUBLINGS + 1):
         n = REFINE_N0 * (1 << level)

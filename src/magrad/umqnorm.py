@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, log2
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -44,20 +44,20 @@ class ExhaustiveCapError(ValueError):
 
 
 def _int_nth_root(x: int, n: int) -> int:
-    """Largest m with m**n <= x (x >= 0, n >= 1), by integer Newton."""
-    if x < 0:
-        raise ValueError("negative radicand")
-    if x in (0, 1) or n == 1:
-        return x
-    m = 1 << (x.bit_length() // n + 1)
+    """Largest m with m**n <= x (x >= 2, n >= 2, root below 2**1000), by
+    integer Newton.
+
+    From any start above the root, Newton's integer step falls monotonically
+    to the floor root and stops there.  The start is the float root
+    2**(log2(x)/n), good to about log2(x)/n * 2**-52 relative, raised by
+    2**-32 relative so that it lies above: a few steps then suffice.
+    """
+    m = int(2.0 ** (log2(x) / n) * (1 + 2.0 ** -32)) + 1
     while True:
         t = ((n - 1) * m + x // m ** (n - 1)) // n
         if t >= m:
-            break
+            return m
         m = t
-    while m ** n > x:
-        m -= 1
-    return m
 
 
 def _kappa_bounds(q: Fraction) -> tuple[Fraction, Fraction]:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from magrad import magnus
 from magrad.cli import main
 from magrad.freealg import eval_lambda, mu_lambda
 from magrad.kernels import plain_reduced_kernel
@@ -184,6 +185,30 @@ class TestBound:
         assert code == 0 and data["lower"] == float("inf")
         assert data["details"]["kernel_radius"] == 0.0
 
+    @pytest.mark.parametrize("lam,p,q,message", [
+        ("0", "7", "1", "error: LP-backed classes (q >= 1) reach degree 5;"
+                        " --q plain reaches degree 8\n"),
+        ("1", "10", "plain", "error: degree 9 outside [1, 8]\n")])
+    def test_pth_root_endpoint_keeps_degree_caps(self, capsys, lam, p, q, message):
+        # the endpoint radius comes from the assembled kernel, so the
+        # Theta degree caps hold there as at every other lam
+        code = main(["bound", "--method", "pth-root", "--lambda", lam,
+                     "--p", p, "--q", q])
+        cap = capsys.readouterr()
+        assert code == 2 and cap.out == "" and cap.err == message
+
+    @pytest.mark.parametrize("gap", ["nan", "inf", "-5"])
+    def test_ode_bad_gap_is_usage_error(self, capsys, gap):
+        code = main(["bound", "--method", "ode", "--gap4", gap])
+        cap = capsys.readouterr()
+        assert code == 2 and cap.out == "" and "finite and nonnegative" in cap.err
+
+    def test_ode_without_blow_up_exits_one(self, capsys):
+        code = main(["bound", "--method", "ode", "--gap4", "10"])
+        cap = capsys.readouterr()
+        assert code == 1 and cap.out == ""
+        assert cap.err.startswith("error: no blow-up detected")
+
     def test_pth_root_rejects_p_below_one(self, capsys):
         code = main(["bound", "--method", "pth-root", "--lambda", "1",
                      "--p", "0"])
@@ -247,6 +272,16 @@ class TestDeterminism:
                         "--grid", "5")
         lines = out.strip().splitlines()
         assert code == 0 and lines[0] == "lam,w,c_bound" and len(lines) == 6
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_scan_failing_logodds_check_exits_one(self, monkeypatch, capsys, fmt):
+        # |C(1/4) - C(1/2)| = 1.5 exceeds |logit(1/4) - logit(1/2)| = log 3
+        rows = [(0.25, 0.1, 2.0), (0.5, 0.1, 3.5)]
+        monkeypatch.setattr(magnus, "scan_rows", lambda *a, **k: rows)
+        code, out = run(capsys, "scan", "--p", "5", "--format", fmt)
+        assert code == 1 and out
+        if fmt == "json":
+            assert json.loads(out)["lipschitz_logodds_ok"] is False
 
 
 class TestBch:

@@ -1,0 +1,32 @@
+"""`src/` imports only the standard library and the declared dependencies."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "magrad"
+#: the [project] dependencies of pyproject.toml, and the package itself
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "scipy", "magrad"}
+
+
+def imported_roots(tree: ast.AST):
+    """Top-level module names of every absolute import in the tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_are_declared(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    undeclared = sorted(set(imported_roots(tree)) - ALLOWED)
+    assert not undeclared, f"{path.name} imports {undeclared}"
+
+
+def test_undeclared_import_is_caught():
+    tree = ast.parse("import sympy\nfrom mpmath import mp\nfrom . import kernels\n")
+    assert sorted(set(imported_roots(tree)) - ALLOWED) == ["mpmath", "sympy"]

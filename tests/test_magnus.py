@@ -107,6 +107,17 @@ class TestOdeBlowup:
         v = ode_blowup(0.4, corrections=[(4, 1e-3)])
         assert v >= c_plain(0.4)
 
+    @pytest.mark.parametrize("gap", [-5.0, math.nan, math.inf])
+    def test_negative_or_non_finite_gap_rejected(self, gap):
+        for lam in (0.0, 0.5):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                ode_blowup(lam, corrections=[(4, gap)])
+
+    def test_window_without_blow_up_is_unconverged(self):
+        # a large gap keeps T bounded on the whole integration window
+        with pytest.raises(specrad.UnconvergedError, match="no blow-up"):
+            ode_blowup(0.5, corrections=[(4, 10.0)])
+
 
 class TestPthRootBound:
     def test_center_values(self):
@@ -216,6 +227,14 @@ class TestTrivialUpper:
     def test_per_lam_variant(self):
         rep = upper_trivial(Q1, "magnus", lam=Fraction(1, 3))
         assert rep.upper == pytest.approx(c_plain(1 / 3) * 2 ** (1 / 3), rel=1e-12)
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ValueError, match="variant must be"):
+            upper_trivial(Q1, "foo")
+
+    def test_magnus_variant_needs_lam(self):
+        with pytest.raises(ValueError, match="needs lam"):
+            upper_trivial(Q1, "magnus")
 
 
 class TestScan:

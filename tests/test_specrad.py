@@ -144,14 +144,38 @@ class TestPowerIteration:
         res = power_iteration_hopf(g, tol=1e-15, max_iter=3)
         assert not res.converged and res.warning
 
+    def test_edge_exits_keep_their_fields(self):
+        # the zero kernel settles whatever the tolerance; no budget, no step
+        zero = power_iteration_hopf(OperatorGrid.from_matrix(np.zeros((3, 3))), tol=-1.0)
+        assert (zero.radius, zero.bracket, zero.iterations, zero.converged,
+                zero.warning, zero.brackets) == (0.0, (0.0, 0.0), 1, True, None, [(0.0, 0.0)])
+        none = power_iteration_hopf(discretize(lambda s, t: 1.0, 4), max_iter=0)
+        assert (none.radius, none.bracket, none.iterations, none.converged,
+                none.warning, none.brackets) == (
+            math.inf, (0.0, math.inf), 0, False,
+            "bracket width inf > tol after 0 iterations", [])
+        assert np.array_equal(none.eigvec, np.ones(4))
+
     def test_hopf_rate_absent_when_infimum_zero(self):
         g = discretize(lambda s, t: max(t - s, 0.0), 16)
         assert g.kernel_min == 0.0 and g.hopf_rate is None
 
 
 class TestConvolutionRadius:
-    """At lam = 1/2 the kernel is convolution type and `_kernel_radius`
+    """At lam = 1/2 the kernel is convolution type and `radius_refined`
     returns lam * integral(Ktilde) over [0, 1] without a grid."""
+
+    @pytest.mark.parametrize("q", ["plain", "1", "2"])
+    def test_refined_builds_no_grid_at_half(self, monkeypatch, q):
+        rk = reduced_kernel(4, Fraction(1, 2), CLASSES[q])
+
+        def no_grid(kernel, n):
+            raise AssertionError("a convolution kernel needs no grid")
+
+        monkeypatch.setattr(specrad, "discretize", no_grid)
+        res = radius_refined(rk.two_sided(), tol=1e-8)
+        r = float(rk.integral01() * rk.lam)
+        assert (res.radius, res.bracket, res.converged) == (r, (r, r), True)
 
     def test_constant_half_point_kernel(self):
         assert _kernel_radius(4, Fraction(1, 2), Q1) == float(Fraction(5, 192))
@@ -221,6 +245,60 @@ class TestRadiusRefined:
             r1 = power_iteration_hopf(discretize(k1, 64), tol=1e-10).radius
             r2 = power_iteration_hopf(discretize(k2, 64), tol=1e-10).radius
             assert r1 <= r2 + 1e-12
+
+
+LEGENDRE_X, LEGENDRE_W = np.polynomial.legendre.leggauss(40)
+
+
+def exact_radius(rk) -> float:
+    """lam * int_0^1 Ktilde(s) rho^s ds, rho = (1-lam)/lam, by the 40-node
+    Gauss-Legendre rule on [0, 1] (exact to round-off for these kernels)."""
+    lam = float(rk.lam)
+    s = (LEGENDRE_X + 1) / 2
+    return lam * float(np.sum(LEGENDRE_W / 2 * rk(s) * ((1 - lam) / lam) ** s))
+
+
+class TestExactRadius:
+    """Closed forms that pin the refined radius and the grid eigenpairs.
+
+    Conjugating by rho^x, rho = (1-lam)/lam, turns the two-sided kernel into
+    a convolution on the circle with symbol lam*Ktilde(s)*rho^s: the wrapped
+    branch gains (1-lam)*rho^(s-1) = lam*rho^s.  So f(t) = rho^t is the
+    positive (Perron) eigenfunction at every degree, and
+    r(K_lam) = lam * int_0^1 Ktilde(s) rho^s ds.  The same substitution on
+    the midpoint grid gives eigenvector rho^(t_i) and radius
+    sum_j row_j rho^(j/n), with row the grid's first row.
+    """
+
+    LAMS = [Fraction(3, 1009), Fraction(1, 7), Fraction(331, 1009),
+            Fraction(1, 3), Fraction(2, 5), Fraction(7, 10), Fraction(1006, 1009)]
+    # p-1 = 5 is left out for the LP classes: assembling one such kernel
+    # takes seconds
+    DEGREES = [("plain", pm1) for pm1 in range(8)] \
+        + [(q, pm1) for q in ("1", "2") for pm1 in range(5)]
+
+    @pytest.mark.parametrize("q,pm1", DEGREES, ids=[f"{q}-{d}" for q, d in DEGREES])
+    def test_refined_radius_matches_integral(self, q, pm1):
+        for lam in self.LAMS:
+            rk = reduced_kernel(pm1, lam, CLASSES[q])
+            r = radius_refined(rk.two_sided(), tol=1e-8).radius
+            assert abs(r - exact_radius(rk)) <= 1e-8, lam
+
+    GRIDS = [("plain", 2), ("plain", 4), ("plain", 7), ("1", 2), ("1", 4),
+             ("2", 2), ("2", 4)]
+
+    @pytest.mark.parametrize("q,pm1", GRIDS, ids=[f"{q}-{d}" for q, d in GRIDS])
+    @pytest.mark.parametrize("lam", ["1/7", "331/1009", "7/10"])
+    def test_grid_eigenpair_closed_form(self, q, pm1, lam):
+        n = 512
+        g = discretize(reduced_kernel(pm1, Fraction(lam), CLASSES[q]).two_sided(), n)
+        res = power_iteration_hopf(g, tol=1e-13)
+        rho = (1 - float(Fraction(lam))) / float(Fraction(lam))
+        f = rho ** g.nodes
+        assert np.abs(res.eigvec / res.eigvec.max() - f / f.max()).max() <= 1e-12
+        row = g.toeplitz[1]
+        want = float(np.sum(row * rho ** (np.arange(n) / n)))
+        assert abs(res.radius - want) <= 1e-14 * want
 
 
 class TestSubmultiplicativity:

@@ -1,6 +1,7 @@
 """Quasi-monomial enumeration and the exact LP norm."""
 
 import copy
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -45,6 +46,23 @@ class TestConvexityClass:
 
     def test_plain(self):
         assert PLAIN.is_plain and PLAIN.kappa_lo == 1
+
+    @pytest.mark.parametrize("q", ["3/2", "2", "3", "4", "8", "100", "1000"])
+    def test_kappa_root_is_the_floor_root(self, q):
+        # the enclosure of 2**(-1/q) rests on the floor qn-th root of
+        # 2**qd * 10**(25*qn)
+        qn, qd = Fraction(q).numerator, Fraction(q).denominator
+        x = 2 ** qd * 10 ** (25 * qn)
+        m = umqnorm._int_nth_root(x, qn)
+        assert m ** qn <= x < (m + 1) ** qn
+
+    def test_long_rational_q_parses_quickly(self):
+        # q = 10001/10000 takes the 10001-th root of a ~830000-bit integer
+        start = time.perf_counter()
+        cls = ConvexityClass.from_q(Fraction(10001, 10000))
+        assert time.perf_counter() - start < 2.0
+        assert cls.kappa_lo < cls.kappa_hi
+        assert float(cls.kappa_lo) == pytest.approx(2 ** (-10000 / 10001), rel=1e-15)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
