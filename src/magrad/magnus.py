@@ -4,26 +4,35 @@ Closed forms for the plain and entire-resolvent radii, the coefficient
 recursion and its corrected blow-up ODE, kernel spectral-radius p-th-root
 bounds (pointwise in lam and minimized over lam), the crude kernel-ratio
 route, and the trivial cost-relaxation upper bounds.
+
+The blow-up of the Riccati ODE is certified without an ODE solver: the
+substitution T = -u'/(mu*u) makes it the first positive zero of the
+solution u of a linear ODE with polynomial coefficients, so u is entire.
+Its exact Taylor partial sums change sign across a rational bracket, an
+absolute-value majorant series bounds the remainder, and u = e^(x/2)*w
+with w'' = (nonnegative)*w shows that u has at most one zero on x >= 0.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from .kernels import plain_reduced_kernel, reduced_kernel
-from .series import refine_max
+from .series import horner, refine_max
 from .specrad import UnconvergedError, radius_refined
 from .umqnorm import ConvexityClass
 
-#: ode_blowup integrates to _BLOWUP_RTOL until T reaches _BLOWUP_THRESHOLD;
-#: c_log_bound refines its lam argmax to _LAM_TOL; kernel ratios use _T_GRID t's
-_BLOWUP_THRESHOLD, _BLOWUP_RTOL = 1e6, 1e-10
+#: blowup_bracket starts at _ODE_TERMS Taylor terms, grows them by half up to
+#: _ODE_MAX_TERMS and scans its window in _ODE_SCAN cells; c_log_bound
+#: refines its lam argmax to _LAM_TOL; kernel ratios use _T_GRID t's
+_ODE_TERMS, _ODE_MAX_TERMS, _ODE_SCAN = 40, 400, 256
 _LAM_TOL = 1e-6
 _T_GRID = 2001
 
@@ -55,67 +64,181 @@ def c_eps(lam: float) -> float:
     return math.hypot(math.pi, math.log(lam / (1.0 - lam)))
 
 
+def _gaps(corrections: Sequence[tuple]) -> dict:
+    """{k: summed gap} from (k, gap) corrections; ValueError unless every k
+    is an integer >= 1 and every gap a finite nonnegative number."""
+    gaps = {}
+    for k, gap in corrections:
+        if not isinstance(k, numbers.Integral) or k < 1:
+            raise ValueError("correction orders must be integers >= 1")
+        try:
+            g = Fraction(gap)
+        except (TypeError, ValueError, OverflowError):
+            g = None
+        if g is None or g < 0:
+            raise ValueError("correction gaps must be finite and nonnegative")
+        gaps[int(k)] = gaps.get(int(k), 0) + g
+    return gaps
+
+
 def euler_coeffs(lam, N: int, corrections: Sequence[tuple] = ()) -> list:
     """Characteristic coefficients from the quadratic recursion.
 
     (k+1)*T[k+1] = T[k] + lam*(1-lam)*sum_{j=1}^{k-1} T[j]*T[k-j], seeded by
     T[1] = 1, with each correction (k, gap) lowering T[k] by gap (the ODE
-    delay term gap*k*x^(k-1)).  Exact Fractions throughout.  With no
-    corrections this is the plain characteristic.
+    delay term gap*k*x^(k-1)), k = 1 included.  Exact Fractions throughout.
+    With no corrections this is the plain characteristic.
     """
+    gaps = _gaps(corrections)
     lam = Fraction(lam)
-    gaps = {}
-    for k, gap in corrections:
-        if gap < 0:
-            raise ValueError("correction gaps must be nonnegative")
-        gaps[int(k)] = gaps.get(int(k), 0) + Fraction(gap)
     mu = lam * (1 - lam)
-    th = [Fraction(0), Fraction(1)]
+    th = [Fraction(0), Fraction(1) - gaps.get(1, 0)]
     for m in range(1, N):
         acc = th[m] + mu * sum(th[j] * th[m - j] for j in range(1, m))
-        nxt = acc / (m + 1)
-        if m + 1 in gaps:
-            nxt -= gaps[m + 1]
-        th.append(nxt)
+        th.append(acc / (m + 1) - gaps.get(m + 1, 0))
     return th[: N + 1]
 
 
-def ode_blowup(lam: float, corrections: Sequence[tuple] = ()) -> float:
-    """Blow-up abscissa of T' = (1+lam*T)(1+(1-lam)*T) - E(x), T(0) = 0.
+def linear_taylor(c: dict, N: int) -> tuple:
+    """Taylor coefficients a_0..a_N of u'' = u' + c(x)*u, u(0) = 1, u'(0) = 0,
+    for the polynomial c(x) = sum_j c[j]*x^j with rational c[j].
 
-    E(x) = sum gap*k*x^(k-1) over the corrections.  Integration runs to the
-    threshold and the analytic tail 1/(lam*(1-lam)*threshold) accounts for
-    the remaining time to infinity.  Returns +inf at lam in {0, 1}; with
-    E = 0 this reproduces the plain closed form.  Gaps must be finite and
-    nonnegative; UnconvergedError when the window ends without a blow-up.
+    Returns (b, G) with the integers b_n = a_n * n! * G^n, G the common
+    denominator of the c[j]: scaled so, the recursion
+    (n+2)(n+1)*a_(n+2) = (n+1)*a_(n+1) + sum_j c[j]*a_(n-j) reads
+    b_(n+2) = G*b_(n+1) + sum_j c[j]*G^(j+2) * n!/(n-j)! * b_(n-j), in
+    integers only.
     """
-    corr = [(int(k), float(g)) for k, g in corrections]
-    if not all(0.0 <= g < math.inf for _, g in corr):
-        raise ValueError("correction gaps must be finite and nonnegative")
-    lam = float(lam)
-    if lam in (0.0, 1.0):
-        return math.inf
-    if not 0.0 < lam < 1.0:
+    G = math.lcm(*(Fraction(cj).denominator for cj in c.values()))
+    w = [(j, int(cj * G ** (j + 2))) for j, cj in c.items() if cj]
+    b = [1, 0]
+    for n in range(N - 1):
+        b.append(G * b[n + 1] + sum(wj * math.perm(n, j) * b[n - j]
+                                    for j, wj in w if j <= n))
+    return b[: N + 1], G
+
+
+def _taylor_sum(b: list, G: int, r: Fraction) -> Fraction:
+    """sum_n a_n * r^n exactly, a_n = b_n / (n! * G^n): one integer Horner
+    over the common denominator N! * (G*t)^N, r = s/t."""
+    s, Gt = r.numerator, G * r.denominator
+    h, w = 0, 1
+    for n in range(len(b) - 1, -1, -1):
+        h = h * s + b[n] * w         # w = N!/n! * (G*t)^(N-n)
+        w *= n * Gt
+    return Fraction(h, math.factorial(len(b) - 1) * Gt ** (len(b) - 1))
+
+
+def _tail_bound(c_abs: dict, N: int, r: Fraction) -> Optional[Fraction]:
+    """Bound on sum_{n>N} A_n r^n for the majorant A_n >= |a_n| of
+    `linear_taylor` (the same recursion with |c[j]|); None until it holds.
+
+    With t_n = A_n r^n, t_(n+2) <= rho_n(r/theta) * theta^(n+2) * K when
+    every earlier t_m <= K theta^m, where rho_n(R) = ((n+1)R + sum_j |c[j]|
+    R^(j+2)) / ((n+2)(n+1)) falls with n.  So rho_(N-1)(2r) <= 1 gives
+    t_m <= K 2^-m for all m > N, K the largest t_m 2^m over the recursion's
+    window m in [N-1-J, N], and the tail is at most K 2^-N.
+    """
+    R = 2 * r
+    if N * R + sum(a * R ** (j + 2) for j, a in c_abs.items()) > (N + 1) * N:
+        return None
+    B, G = linear_taylor(c_abs, N)
+    return max(Fraction(B[m], math.factorial(m) * G ** m) * r ** m / 2 ** (N - m)
+               for m in range(max(N - 1 - max(c_abs), 0), N + 1))
+
+
+def _first_float_root(af: list, x_max: float) -> Optional[float]:
+    """First zero in (0, x_max] of the float polynomial af: a scan of _ODE_SCAN
+    cells for the first sign change, then Brent's method in that cell."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs = np.linspace(0.0, x_max, _ODE_SCAN + 1)
+        down = np.flatnonzero(horner(af, xs) <= 0.0)
+    if not down.size:
+        return None
+    i = int(down[0])
+    return brentq(lambda x: horner(af, x), xs[i - 1], xs[i], xtol=1e-300)
+
+
+@dataclass(frozen=True)
+class BlowupBracket:
+    """The blow-up abscissa lies in (lo, hi): u's Taylor polynomial of
+    degree `terms` exceeds `tail` at lo and lies below -tail at hi, and
+    `tail` bounds the remainder of u's Taylor series on [0, hi]."""
+
+    lo: Fraction
+    hi: Fraction
+    terms: int
+    tail: Fraction
+
+
+def blowup_bracket(lam, corrections: Sequence[tuple] = ()) -> BlowupBracket:
+    """Certified bracket on the blow-up of T' = (1+lam*T)(1+(1-lam)*T) - E(x).
+
+    E(x) = sum gap*k*x^(k-1) over the corrections, lam strictly inside
+    (0, 1).  With mu = lam*(1-lam), T = -u'/(mu*u) turns the Riccati
+    equation into the linear u'' = u' - mu*(1 - E(x))*u, u(0) = 1,
+    u'(0) = 0, so the blow-up is the first positive zero of u.  u is
+    entire, and its Taylor coefficients are exact (`linear_taylor`, in
+    Fraction(lam) and Fraction(gap)).  The float truncation's first root in
+    the window (0, 3*c_plain(lam) + 10] is bracketed 8 ulps either side;
+    the exact partial sums there, set against the majorant tail bound
+    (`_tail_bound`), give u(lo) > 0 > u(hi).  No root counting is needed:
+    u = e^(x/2)*w with w'' = ((1/2 - lam)^2 + mu*E(x))*w, a coefficient >= 0
+    on x >= 0 since every gap is, so w (and u) turns down for good at its
+    first zero and has at most one.  The truncation grows from _ODE_TERMS
+    terms by half until the check passes; UnconvergedError past
+    _ODE_MAX_TERMS (also when the window holds no blow-up).
+    """
+    gaps = _gaps(corrections)
+    if not 0 < lam < 1:
         raise ValueError("lam must lie in [0, 1]")
+    lam = Fraction(lam)
+    mu = lam * (1 - lam)
+    c = {0: -mu}
+    for k, g in gaps.items():
+        c[k - 1] = c.get(k - 1, 0) + mu * k * g
+    c_abs = {j: abs(cj) for j, cj in c.items()}
+    c0 = c_plain(float(lam))
+    x_max = 3.0 * c0 + 10.0
+    # the float truncation is in y = x/2^e with 2^e <= c0 <= the blow-up,
+    # so no coefficient that matters there underflows
+    e = math.frexp(c0)[1] - 1
+    N = _ODE_TERMS
+    while N <= _ODE_MAX_TERMS:
+        b, G = linear_taylor(c, N)
+        try:
+            af = [(bn << e * n) / (math.factorial(n) * G ** n)
+                  for n, bn in enumerate(b)]
+        except OverflowError:       # a coefficient past the float range
+            break
+        y = _first_float_root(af, math.ldexp(x_max, -e))
+        if y is not None:
+            x = math.ldexp(y, e)
+            d = Fraction(8 * math.ulp(x))
+            lo, hi = Fraction(x) - d, Fraction(x) + d
+            tail = _tail_bound(c_abs, N, hi)
+            if (tail is not None and _taylor_sum(b, G, lo) > tail
+                    and _taylor_sum(b, G, hi) < -tail):
+                return BlowupBracket(lo, hi, N, tail)
+        N += N // 2
+    raise UnconvergedError(f"no blow-up detected inside the window (0, {x_max:g}] "
+                           f"with up to {_ODE_MAX_TERMS} Taylor terms")
 
-    def rhs(x, y):
-        th = y[0]
-        e = sum(g * k * x ** (k - 1) for k, g in corr)
-        return [(1.0 + lam * th) * (1.0 + (1.0 - lam) * th) - e]
 
-    def hit(x, y):
-        return y[0] - _BLOWUP_THRESHOLD
+def ode_blowup(lam: float, corrections: Sequence[tuple] = ()) -> float:
+    """Blow-up abscissa of T' = (1+lam*T)(1+(1-lam)*T) - E(x), T(0) = 0:
+    the midpoint of `blowup_bracket`, or +inf at lam in {0, 1}.
 
-    hit.terminal = True
-    hit.direction = 1
-    x_max = 3.0 * c_plain(lam) + 10.0
-    sol = solve_ivp(rhs, (0.0, x_max), [0.0], events=hit,
-                    rtol=_BLOWUP_RTOL, atol=1e-12, method="RK45")
-    if not sol.t_events[0].size:
-        raise UnconvergedError("no blow-up detected inside the integration "
-                               f"window [0, {x_max:g}]")
-    t_hit = float(sol.t_events[0][0])
-    return t_hit + 1.0 / (lam * (1.0 - lam) * _BLOWUP_THRESHOLD)
+    E(x) = sum gap*k*x^(k-1) over the corrections; with E = 0 this is the
+    plain closed form.  ValueError for an order that is not an integer >= 1
+    or a gap that is not finite and nonnegative; UnconvergedError when no
+    blow-up is certified inside the window.
+    """
+    _gaps(corrections)              # bad corrections raise at lam in {0, 1} too
+    if float(lam) in (0.0, 1.0):
+        return math.inf
+    br = blowup_bracket(lam, corrections)
+    return float((br.lo + br.hi) / 2)
 
 
 @dataclass

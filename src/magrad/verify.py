@@ -146,11 +146,12 @@ def check_plain_closed_form() -> tuple[bool, str]:
 
 
 def check_euler_ode() -> tuple[bool, str]:
-    """Recursion halving, uncorrected blow-up at 2, corrected past 2."""
+    """Recursion halving, uncorrected blow-up bracketing 2, corrected past 2."""
     th = magnus.euler_coeffs(Fraction(1, 2), 20)
     ok1 = all(th[k] == Fraction(1, 2 ** (k - 1)) for k in range(1, 21))
+    br = magnus.blowup_bracket(Fraction(1, 2))
     v0 = magnus.ode_blowup(0.5)
-    ok2 = abs(v0 - 2.0) <= 1e-6
+    ok2 = br.lo < 2 < br.hi and abs(v0 - 2.0) <= 1e-6
     gap = Fraction(1, 8) - Fraction(5, 48)
     v1 = magnus.ode_blowup(0.5, corrections=[(4, float(gap))])
     ok3 = v1 > 2.0 and abs(v1 - ODE_GAP_BLOWUP_Q1) <= 1e-6

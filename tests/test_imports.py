@@ -1,6 +1,8 @@
 """`src/` imports only the standard library and the declared dependencies."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -30,3 +32,15 @@ def test_imports_are_declared(path):
 def test_undeclared_import_is_caught():
     tree = ast.parse("import sympy\nfrom mpmath import mp\nfrom . import kernels\n")
     assert sorted(set(imported_roots(tree)) - ALLOWED) == ["mpmath", "sympy"]
+
+
+def test_cli_stack_leaves_scipy_integrate_out():
+    # a fresh interpreter, so no other test module's imports count
+    child = ("import sys\n"
+             "import magrad.magnus, magrad.cli, magrad.verify\n"
+             "raise SystemExit('scipy.integrate' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH")))))
+    res = subprocess.run([sys.executable, "-c", child], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr or "scipy.integrate was imported"

@@ -16,6 +16,7 @@ from magrad.cli import main
 from magrad.kernels import plain_reduced_kernel, reduced_kernel
 from magrad.magnus import (
     BoundReport,
+    blowup_bracket,
     c_bound_pth_root,
     c_eps,
     c_log_bound,
@@ -23,6 +24,7 @@ from magrad.magnus import (
     crude_ratio_bound,
     euler_coeffs,
     kernel_ratio_sup,
+    linear_taylor,
     lipschitz_logodds_check,
     maglower_floor,
     ode_blowup,
@@ -32,7 +34,7 @@ from magrad.magnus import (
     upper_trivial,
     w_plain,
 )
-from magrad.series import refine_max
+from magrad.series import horner, refine_max, series_div
 from magrad.umqnorm import PLAIN, ConvexityClass, theta_ab
 
 Q1 = ConvexityClass.from_q(1)
@@ -85,6 +87,18 @@ class TestEulerRecursion:
         with pytest.raises(ValueError):
             euler_coeffs(Fraction(1, 2), 6, corrections=[(4, -1)])
 
+    def test_first_order_correction_lowers_t1(self):
+        th = euler_coeffs(Fraction(1, 2), 6, corrections=[(1, Fraction(1, 2))])
+        assert th[1] == Fraction(1, 2)
+        assert th == euler_coeffs(Fraction(1, 2), 6, corrections=[(1, 0.5)])
+
+    @pytest.mark.parametrize("k", [0, -1, 2.5, 4.0, "4", None])
+    def test_order_must_be_a_positive_integer(self, k):
+        with pytest.raises(ValueError, match="integers >= 1"):
+            euler_coeffs(Fraction(1, 2), 6, corrections=[(k, 0.1)])
+        with pytest.raises(ValueError, match="integers >= 1"):
+            ode_blowup(0.5, corrections=[(k, 0.1)])
+
 
 class TestOdeBlowup:
     def test_uncorrected_center(self):
@@ -117,6 +131,64 @@ class TestOdeBlowup:
         # a large gap keeps T bounded on the whole integration window
         with pytest.raises(specrad.UnconvergedError, match="no blow-up"):
             ode_blowup(0.5, corrections=[(4, 10.0)])
+
+    @pytest.mark.parametrize("lam", [1e-3, 1e-6, 1e-12, 1e-40,
+                                     1 - 1e-3, 1 - 1e-6, 1 - 1e-12])
+    def test_small_mu_matches_closed_form(self, lam):
+        # the old RK45 route added a tail 1/(mu * 1e6): 14.12 at 1e-6, 1e6 at
+        # 1e-12; at 1e-40 unscaled float coefficients would underflow
+        assert ode_blowup(lam) == pytest.approx(c_plain(lam), rel=1e-12)
+
+    def test_center_bracket_holds_two(self):
+        # u = e^(x/2) * (1 - x/2) at lam = 1/2
+        br = blowup_bracket(Fraction(1, 2))
+        assert br.lo < 2 < br.hi
+        assert br.lo < ode_blowup(0.5) < br.hi
+
+    def test_first_order_correction_closed_form(self):
+        # gap 1/2 at k = 1: T' = ((T + 2)^2 - 2)/4, blowing up at
+        # sqrt(2) * log(3 + 2*sqrt(2)) = 2*sqrt(2)*asinh(1)
+        v = ode_blowup(0.5, corrections=[(1, 0.5)])
+        assert v == pytest.approx(2 * math.sqrt(2) * math.asinh(1), rel=1e-12)
+
+
+def _u_taylor(lam: Fraction, gap, N: int) -> list:
+    """u's Taylor coefficients for u'' = u' - mu*(1 - E)*u, E = 4*gap*x^3."""
+    mu = lam * (1 - lam)
+    b, G = linear_taylor({0: -mu, 3: 4 * mu * Fraction(gap)}, N)
+    return [Fraction(bn, math.factorial(n) * G ** n) for n, bn in enumerate(b)]
+
+
+class TestLinearizedRiccati:
+    GAP = Fraction(1, 8) - Fraction(5, 48)
+
+    @pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(1, 3), Fraction(7, 10)])
+    @pytest.mark.parametrize("gap", [0, GAP])
+    def test_riccati_coefficients_from_linear_series(self, lam, gap):
+        # T = -u'/(mu*u), by exact series division, is the quadratic recursion
+        N = 16
+        a = _u_taylor(lam, gap, N + 1)
+        mu = lam * (1 - lam)
+        du = [-(n + 1) * a[n + 1] for n in range(N + 1)]
+        th = series_div(du, [mu * c for c in a], N)
+        corr = [(4, gap)] if gap else []
+        assert th == euler_coeffs(lam, N, corrections=corr)
+
+    @pytest.mark.parametrize("lam, gap", [
+        (Fraction(1, 2), 0), (Fraction(1, 2), GAP), (Fraction(1, 3), GAP),
+        (Fraction(7, 10), 0), (0.1, 0.05), (1e-3, 0), (0.999, 1e-4),
+    ])
+    def test_bracket_is_certified(self, lam, gap):
+        # partial sums clear the tail with opposite signs, and the tail bound
+        # covers the next 150 terms of the |c|-majorant series
+        br = blowup_bracket(lam, [(4, gap)] if gap else [])
+        a = _u_taylor(Fraction(lam), gap, br.terms)
+        assert horner(a, br.lo) > br.tail >= 0 > -br.tail > horner(a, br.hi)
+        mu = Fraction(lam) * (1 - Fraction(lam))
+        b, G = linear_taylor({0: mu, 3: 4 * mu * Fraction(gap)}, br.terms + 150)
+        rest = sum(Fraction(b[n], math.factorial(n) * G ** n) * br.hi ** n
+                   for n in range(br.terms + 1, br.terms + 151))
+        assert rest <= br.tail
 
 
 class TestPthRootBound:
