@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from functools import partial
@@ -36,6 +37,16 @@ def _parse_lambda(s: str) -> Fraction:
     if not 0 <= lam <= 1:
         raise argparse.ArgumentTypeError(f"lambda must lie in [0, 1]: {s!r}")
     return lam
+
+
+def _parse_tol(s: str) -> float:
+    try:
+        tol = float(s)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(f"tol must be a finite number > 0: {s!r}")
+    return tol
 
 
 def _parse_class(s: str) -> ConvexityClass:
@@ -250,7 +261,7 @@ def _add_common(sp, *, lam=True, p=False, n=False, tol=None, formats=()):
     if n:
         sp.add_argument("--n", type=int, default=2048, help="grid size")
     if tol is not None:
-        sp.add_argument("--tol", type=float, default=tol, help="tolerance")
+        sp.add_argument("--tol", type=_parse_tol, default=tol, help="tolerance")
     if formats:
         sp.add_argument("--format", choices=formats, default=formats[0])
     sp.add_argument("--out", default=None, help="output path (default stdout)")

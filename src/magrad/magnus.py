@@ -46,7 +46,8 @@ def c_plain(lam: float) -> float:
         return math.inf
     if lam == 0.5:
         return 2.0
-    return math.log((1.0 - lam) / lam) / (1.0 - 2.0 * lam)
+    # log1p - log: the quotient (1 - lam)/lam overflows for subnormal lam
+    return (math.log1p(-lam) - math.log(lam)) / (1.0 - 2.0 * lam)
 
 
 def w_plain(lam: float) -> float:

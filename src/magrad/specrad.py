@@ -10,7 +10,11 @@ nested and each interval still contains the grid operator's radius.
 Toeplitz kernels (two-sided reduced form) multiply through the cached FFT of
 their embedding circulant, one rfft/irfft pair per step; a grid doubling
 schedule with Richardson extrapolation removes the O(1/n) and O(1/n^2)
-discretization errors.
+discretization errors.  For a two-sided kernel with 0 < lam < 1, lam != 1/2,
+each grid's Perron vector is known: rho^(t_i) with rho = (1-lam)/lam, since
+conjugating by rho^t turns the midpoint grid into a circulant.  Started
+there, the first bracket is a few ulps wide, so each level of the schedule
+takes one matvec.
 """
 
 from __future__ import annotations
@@ -163,8 +167,14 @@ def _widen(lo: float, hi: float) -> tuple:
 
 
 def power_iteration_hopf(grid: OperatorGrid, tol: float = 1e-8,
-                         max_iter: Optional[int] = None) -> RadiusResult:
+                         max_iter: Optional[int] = None,
+                         start: Optional[np.ndarray] = None) -> RadiusResult:
     """Power iteration with nested averaging brackets around the radius.
+
+    The iteration starts from `start` (default: all ones), which must be a
+    finite nonnegative vector of length n with a positive entry.  A start
+    close to the Perron vector makes the first bracket already narrow; the
+    bracket is still an enclosure, as it comes from an actual matvec.
 
     A triangular Toeplitz grid (a two-sided kernel at lam = 0 or 1, where one
     branch vanishes) is answered without iterating: its radius is the
@@ -174,6 +184,15 @@ def power_iteration_hopf(grid: OperatorGrid, tol: float = 1e-8,
     if max_iter is None:
         max_iter = 10 * grid.n
     n = grid.n
+    if start is None:
+        start = np.ones(n)
+    else:
+        start = np.asarray(start, dtype=float)
+        if start.shape != (n,) or not np.isfinite(start).all() \
+                or (start < 0).any() or not (start > 0).any():
+            raise InvalidUseError(
+                f"start must be a finite nonnegative vector of length {n} "
+                "with a positive entry")
     if grid.toeplitz is not None:
         col, row = grid.toeplitz
         upper = not col[1:].any()
@@ -182,7 +201,7 @@ def power_iteration_hopf(grid: OperatorGrid, tol: float = 1e-8,
             v = np.zeros(n)
             v[0 if upper else -1] = 1.0
             return RadiusResult(radius=r, bracket=(r, r), iterations=0, eigvec=v, n=n)
-    v = np.ones(n)
+    v = start
     lo, hi = 0.0, np.inf
     brackets = []
     converged, warning = True, None
@@ -230,21 +249,36 @@ def radius_refined(kernel: KernelLike, tol: float = 1e-6) -> RadiusResult:
     2*REFINE_N0, ... and extrapolates the bracket midpoints assuming an error
     expansion in powers of 1/n (orders 1, 2, 3 eliminated in turn).  Stops
     when two successive extrapolants agree within tol; sets a warning flag
-    when the REFINE_DOUBLINGS budget runs out.
+    when the REFINE_DOUBLINGS budget runs out.  `tol` must be finite and > 0.
     The result keeps the finest grid's bracket, brackets and iterations but
     no eigenvector (`eigvec` is None): its radius is the extrapolant, not
     that grid's eigenvalue.  Run `power_iteration_hopf` on a grid for one.
     A two-sided kernel at lam = 1/2 is convolution type: its radius is
     lam * integral(Ktilde) over [0, 1], returned without a grid.
+
+    For any other two-sided kernel with 0 < lam < 1, each grid's iteration
+    starts from rho^(t_i), rho = (1-lam)/lam, scaled to max 1.  Conjugating
+    by rho^t turns the midpoint grid into a circulant, so rho^(t_i) is that
+    grid's Perron vector exactly: the first bracket is a few ulps wide and
+    each level stops after one matvec.  The one-sided grids at lam = 0 and 1
+    are triangular and take no step.  Any other kernel starts from ones.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be a finite number > 0")
     if isinstance(kernel, TwoSidedKernel) and kernel.lam == 0.5:
         r = float(kernel.reduced.integral01() * kernel.lam)
         return RadiusResult(radius=r, bracket=(r, r), iterations=0)
+    log_rho = 0.0       # rho = 1: the start from ones
+    if isinstance(kernel, TwoSidedKernel) and 0 < kernel.lam < 1:
+        lam = float(kernel.lam)
+        log_rho = math.log1p(-lam) - math.log(lam)
     values, last = [], None
     for level in range(REFINE_DOUBLINGS + 1):
         n = REFINE_N0 * (1 << level)
         grid = discretize(kernel, n)
-        result = power_iteration_hopf(grid, tol=tol * 1e-2, max_iter=10 * n)
+        x = log_rho * grid.nodes
+        result = power_iteration_hopf(grid, tol=tol * 1e-2, max_iter=10 * n,
+                                      start=np.exp(x - x.max()))
         values.append(result.radius)
         # Richardson table along the diagonal
         row = list(values)

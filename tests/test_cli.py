@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from magrad import magnus
+from magrad import magnus, specrad
 from magrad.cli import main
 from magrad.freealg import eval_lambda, mu_lambda
 from magrad.kernels import plain_reduced_kernel
@@ -249,6 +249,36 @@ class TestLambdaRange:
             assert code == 0 and json.loads(out)["lam"] == lam
 
 
+class TestTolOption:
+    @pytest.mark.parametrize("argv", [
+        ("radius", "--n", "16"),
+        ("bound", "--method", "pth-root", "--lambda", "1/3", "--p", "3"),
+        ("scan", "--p", "3"),
+    ], ids=["radius", "bound", "scan"])
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "x"])
+    def test_bad_tol_is_usage_error(self, capsys, argv, tol):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--tol", tol])
+        assert exc.value.code == 2
+        assert f"argument --tol: tol must be a finite number > 0: '{tol}'" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,iterations", [
+        (("--p-minus-1", "4", "--lambda", "1/3", "--q", "1"), 4),
+        (("--p-minus-1", "3", "--lambda", "2/5"), 3),
+    ], ids=["radius-q1-n256", "radius-plain-n256"])
+    def test_radius_keeps_start_from_ones(self, monkeypatch, capsys, argv,
+                                          iterations):
+        # `magrad radius` iterates from ones: one matvec per pinned step
+        calls = []
+        matvec = specrad.OperatorGrid.matvec
+        monkeypatch.setattr(specrad.OperatorGrid, "matvec",
+                            lambda self, v: calls.append(1) or matvec(self, v))
+        code, out = run(capsys, "radius", *argv, "--n", "256")
+        assert code == 0 and json.loads(out)["iterations"] == iterations
+        assert len(calls) == iterations
+
+
 class TestClassOption:
     @pytest.mark.parametrize("argv", [("radius",), ("bch", "--l1")])
     @pytest.mark.parametrize("q", ["0", "1/2"])
@@ -388,6 +418,6 @@ class TestOptionSurface:
 
     def test_unconverged_radius_exits_one(self, capsys):
         code, out = run(capsys, "radius", "--p-minus-1", "4", "--lambda", "1/3",
-                        "--n", "16", "--tol", "0")
+                        "--n", "16", "--tol", "1e-300")
         data = json.loads(out)
         assert code == 1 and not data["converged"]

@@ -66,6 +66,10 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             c_plain(1.2)
 
+    def test_plain_subnormal_lambda_is_finite(self):
+        # log((1 - lam)/lam) would overflow: (1 - lam)/lam is inf here
+        assert c_plain(5e-324) == pytest.approx(744.44007192138, rel=1e-12)
+
 
 class TestEulerRecursion:
     def test_half_point_halving(self):

@@ -301,6 +301,82 @@ class TestExactRadius:
         assert abs(res.radius - want) <= 1e-14 * want
 
 
+class TestPerronStart:
+    """`radius_refined` starts each grid from rho^(t_i), that grid's exact
+    Perron vector (see TestExactRadius), so one matvec settles each level."""
+
+    LAMS = ["3/1009", "1/7", "7/10", "1006/1009"]
+    KERNELS = [("plain", 2), ("plain", 4), ("plain", 7), ("1", 3), ("2", 3)]
+
+    @staticmethod
+    def _levels(monkeypatch, two, tol=1e-8):
+        """Every (grid, tol, max_iter, result) of one `radius_refined` call."""
+        levels = []
+        hopf = specrad.power_iteration_hopf
+
+        def recording(grid, tol, max_iter, start):
+            res = hopf(grid, tol=tol, max_iter=max_iter, start=start)
+            levels.append((grid, tol, max_iter, res))
+            return res
+
+        monkeypatch.setattr(specrad, "power_iteration_hopf", recording)
+        radius_refined(two, tol=tol)
+        return levels
+
+    @pytest.mark.parametrize("q,pm1", KERNELS, ids=[f"{q}-{d}" for q, d in KERNELS])
+    @pytest.mark.parametrize("lam", LAMS)
+    def test_one_step_bracket_holds_grid_eigenvalue(self, monkeypatch, q, pm1, lam):
+        lamf = float(Fraction(lam))
+        log_rho = math.log1p(-lamf) - math.log(lamf)
+        two = reduced_kernel(pm1, Fraction(lam), CLASSES[q]).two_sided()
+        for grid, _, _, res in self._levels(monkeypatch, two):
+            n = grid.n
+            want = math.fsum(grid.toeplitz[1] * np.exp(log_rho * np.arange(n) / n))
+            lo, hi = res.bracket
+            assert res.iterations == 1 and res.converged
+            assert lo <= want <= hi, n
+
+    @pytest.mark.parametrize("q,pm1", KERNELS, ids=[f"{q}-{d}" for q, d in KERNELS])
+    @pytest.mark.parametrize("lam", LAMS)
+    def test_agrees_with_start_from_ones(self, monkeypatch, q, pm1, lam):
+        # the old start from ones, kept here as the oracle
+        two = reduced_kernel(pm1, Fraction(lam), CLASSES[q]).two_sided()
+        for grid, tol, max_iter, res in self._levels(monkeypatch, two):
+            old = power_iteration_hopf(grid, tol=tol, max_iter=max_iter)
+            lo, hi = res.bracket
+            assert old.converged
+            assert lo - tol <= old.radius <= hi + tol, grid.n
+
+    @pytest.mark.parametrize("lam", ["1/7", "331/1009", "7/10"])
+    def test_one_matvec_per_level(self, monkeypatch, lam):
+        calls = []
+        matvec = OperatorGrid.matvec
+
+        def counting(self, v):
+            calls.append(self.n)
+            return matvec(self, v)
+
+        monkeypatch.setattr(OperatorGrid, "matvec", counting)
+        res = radius_refined(plain_reduced_kernel(4, Fraction(lam)).two_sided(), tol=1e-8)
+        levels = (res.n // specrad.REFINE_N0).bit_length()
+        assert res.converged and levels >= 2
+        assert calls == [specrad.REFINE_N0 << k for k in range(levels)]
+
+    @pytest.mark.parametrize("start", [np.ones(7), np.ones((8, 1)),
+                                       np.r_[np.ones(7), np.nan],
+                                       np.r_[np.ones(7), -1.0], np.zeros(8)],
+                             ids=["short", "column", "nan", "negative", "zero"])
+    def test_bad_start_rejected(self, start):
+        with pytest.raises(InvalidUseError):
+            power_iteration_hopf(discretize(lambda s, t: 1.0, 8), start=start)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_tol_rejected(self, tol):
+        two = plain_reduced_kernel(2, Fraction(1, 3)).two_sided()
+        with pytest.raises(ValueError, match="tol must be a finite number > 0"):
+            radius_refined(two, tol=tol)
+
+
 class TestSubmultiplicativity:
     @staticmethod
     def _refine(vals):
@@ -354,21 +430,21 @@ class TestPinnedBits:
 
     # (class, p-1, lam, grid digest, refined radius)
     CASES = [
-        ("plain", 0, "1/7", "b5e3bfe6e3a94f5d", "0x1.9837d2aad2822p-2"),
-        ("plain", 0, "2/7", "75d1d0aebb74588e", "0x1.def31d841b4dep-2"),
-        ("plain", 0, "331/1009", "90b1603d311f0870", "0x1.eb22c42d5d0a0p-2"),
-        ("plain", 2, "1/7", "f3d66fc37bfe4684", "0x1.037fe6b15406ap-4"),
-        ("plain", 2, "2/7", "f64ab9782c1ab87f", "0x1.a31c93af9ea3dp-4"),
-        ("plain", 2, "331/1009", "5b10bd95347f6253", "0x1.c3ec66b6baad4p-4"),
-        ("plain", 4, "1/7", "0ec94e6579138d57", "0x1.49ec0521e42efp-7"),
-        ("plain", 4, "2/7", "7a8d35193c6e2c05", "0x1.6ebfdffb21a3ep-6"),
-        ("plain", 4, "331/1009", "fffd9150715dec1a", "0x1.9fd7803821de6p-6"),
-        ("plain", 7, "1/7", "b577ff9738a52d46", "0x1.4e6e9e965e410p-11"),
-        ("plain", 7, "2/7", "80b450b33cf37279", "0x1.2c367e14257c9p-9"),
-        ("plain", 7, "331/1009", "5364a06f75159c68", "0x1.6f0c5432cf1d4p-9"),
-        ("1", 3, "1/7", "683b1bdde4b6d812", "0x1.9dcc6db12cbe2p-6"),
-        ("1", 3, "331/1009", "248a1cb958fe439e", "0x1.b181e45b973ecp-5"),
-        ("2", 3, "1/7", "12865edf19e88271", "0x1.9dcc6db12cbdfp-6"),
+        ("plain", 0, "1/7", "b5e3bfe6e3a94f5d", "0x1.9837d2aad2817p-2"),
+        ("plain", 0, "2/7", "75d1d0aebb74588e", "0x1.def31d841b4e9p-2"),
+        ("plain", 0, "331/1009", "90b1603d311f0870", "0x1.eb22c42d5cf5ap-2"),
+        ("plain", 2, "1/7", "f3d66fc37bfe4684", "0x1.037fe6b154068p-4"),
+        ("plain", 2, "2/7", "f64ab9782c1ab87f", "0x1.a31c93af9ea3ep-4"),
+        ("plain", 2, "331/1009", "5b10bd95347f6253", "0x1.c3ec66b6baad8p-4"),
+        ("plain", 4, "1/7", "0ec94e6579138d57", "0x1.49ec0521e43fep-7"),
+        ("plain", 4, "2/7", "7a8d35193c6e2c05", "0x1.6ebfdffb20fe0p-6"),
+        ("plain", 4, "331/1009", "fffd9150715dec1a", "0x1.9fd7803821cc0p-6"),
+        ("plain", 7, "1/7", "b577ff9738a52d46", "0x1.4e6e9e965e427p-11"),
+        ("plain", 7, "2/7", "80b450b33cf37279", "0x1.2c367e14257ccp-9"),
+        ("plain", 7, "331/1009", "5364a06f75159c68", "0x1.6f0c5432e30e6p-9"),
+        ("1", 3, "1/7", "683b1bdde4b6d812", "0x1.9dcc6db12cbf7p-6"),
+        ("1", 3, "331/1009", "248a1cb958fe439e", "0x1.b181e45b973eap-5"),
+        ("2", 3, "1/7", "12865edf19e88271", "0x1.9dcc6db12cbfap-6"),
         ("2", 3, "331/1009", "25864260769ac7ea", "0x1.b181e45b973ebp-5"),
     ]
 
@@ -388,6 +464,12 @@ class TestPinnedBits:
         two = reduced_kernel(pm1, Fraction(lam), CLASSES[q]).two_sided()
         assert self._digest(two) == digest
         assert radius_refined(two, tol=1e-8).radius == float.fromhex(radius)
+
+    @pytest.mark.parametrize("q,pm1,lam,digest,radius", CASES)
+    def test_pinned_radius_near_integral(self, q, pm1, lam, digest, radius):
+        rk = reduced_kernel(pm1, Fraction(lam), CLASSES[q])
+        want = exact_radius(rk)
+        assert abs(float.fromhex(radius) - want) <= 1e-11 * want
 
     # At lam = 0 or 1 one branch of the two-sided kernel vanishes, so the grid
     # is triangular: its radius is the diagonal entry, returned without a
