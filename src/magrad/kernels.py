@@ -80,11 +80,16 @@ class TwoSidedKernel:
         return self.reduced.lam
 
     def __call__(self, t):
-        """K(t); a float ndarray t elementwise, bit for bit as the scalar
-        branches (Fraction * float is float(lam) * x: float(1 - lam) below)."""
+        """K(t); a float ndarray t elementwise, each branch evaluated only
+        where it applies, bit for bit as the scalar branches (Fraction *
+        float is float(lam) * x: float(1 - lam) below)."""
         if isinstance(t, np.ndarray):
-            return np.where(t >= 0, float(self.lam) * self.reduced(t),
-                            float(1 - self.lam) * self.reduced(t + 1))
+            out = np.empty(t.shape)
+            upper = t >= 0
+            out[upper] = float(self.lam) * self.reduced(t[upper])
+            lower = ~upper
+            out[lower] = float(1 - self.lam) * self.reduced(t[lower] + 1)
+            return out
         if t >= 0:          # t = 0 goes to the lam branch by convention
             return self.lam * self.reduced(t)
         return (1 - self.lam) * self.reduced(t + 1)

@@ -7,14 +7,17 @@ between positive constants m and M.  Brackets are widened by a few ulps per
 step and intersected with the previous bracket, so the stored sequence is
 nested and each interval still contains the grid operator's radius.
 
-Toeplitz kernels (two-sided reduced form) multiply through the cached FFT of
-their embedding circulant, one rfft/irfft pair per step; a grid doubling
-schedule with Richardson extrapolation removes the O(1/n) and O(1/n^2)
-discretization errors.  For a two-sided kernel with 0 < lam < 1, lam != 1/2,
-each grid's Perron vector is known: rho^(t_i) with rho = (1-lam)/lam, since
-conjugating by rho^t turns the midpoint grid into a circulant.  Started
-there, the first bracket is a few ulps wide, so each level of the schedule
-takes one matvec.
+Toeplitz kernels (two-sided reduced form) multiply through the FFT of their
+embedding circulant, one rfft/irfft pair per step.  `radius_refined` runs a
+grid doubling schedule with Richardson extrapolation, which removes the
+O(1/n), O(1/n^2), ... discretization errors in turn.  For a two-sided kernel
+with 0 < lam < 1, lam != 1/2, it needs neither the FFT nor the iteration:
+conjugating by rho^t, rho = (1-lam)/lam, turns the midpoint grid into a
+circulant, so rho^(t_i) is the grid's Perron vector and its eigenvalue is
+mu_n = sum_e row_e rho^(e/n), read off the grid's Toeplitz vectors.  That is
+the left Riemann sum of lam * integral_0^1 Ktilde(s) rho^s ds, the kernel's
+exact radius, and the doubling-plus-Richardson schedule on it is Romberg
+integration.
 """
 
 from __future__ import annotations
@@ -50,9 +53,10 @@ class OperatorGrid:
 
     A Toeplitz grid keeps its first column and row, and `spectrum`, the real
     FFT of the circulant that embeds it (the column, then the row reversed
-    without its first entry), computed once when the grid is built.  A
-    matvec is then one rfft of v zero-padded to p = 2n-1, a product with the
-    spectrum and one irfft, cut back to n entries.  The transforms are
+    without its first entry), computed on the first matvec, so a grid that
+    is never multiplied skips the transform.  A matvec is then one rfft of v
+    zero-padded to p = 2n-1, a product with the spectrum and one irfft, cut
+    back to n entries.  The transforms are
     `scipy.fft`'s and p stays 2n-1, the library and the length
     `scipy.linalg.matmul_toeplitz` uses, so the product is bit for bit
     scipy's, on which every pinned radius rests.  A fast length such as 2n
@@ -71,16 +75,17 @@ class OperatorGrid:
     def __post_init__(self):
         if self.toeplitz is not None:
             col, row = self.toeplitz
-            embedded = np.concatenate((col, row[-1:0:-1]))
-            if not np.isfinite(embedded).all():
+            if not (np.isfinite(col).all() and np.isfinite(row).all()):
                 raise InvalidKernelError("non-finite kernel sample")
-            self.spectrum = scipy.fft.rfft(embedded)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        if self.spectrum is not None:
-            p = 2 * self.n - 1
-            return scipy.fft.irfft(self.spectrum * scipy.fft.rfft(v, n=p), n=p)[:self.n]
-        return self.matrix @ v
+        if self.toeplitz is None:
+            return self.matrix @ v
+        if self.spectrum is None:
+            col, row = self.toeplitz
+            self.spectrum = scipy.fft.rfft(np.concatenate((col, row[-1:0:-1])))
+        p = 2 * self.n - 1
+        return scipy.fft.irfft(self.spectrum * scipy.fft.rfft(v, n=p), n=p)[:self.n]
 
     @property
     def hopf_rate(self) -> Optional[float]:
@@ -109,13 +114,14 @@ def discretize(kernel: KernelLike, n: int) -> OperatorGrid:
         raise InvalidUseError("need n >= 2")
     nodes = (np.arange(n) + 0.5) / n
     if isinstance(kernel, TwoSidedKernel):
-        # one array call per Toeplitz vector; col[0] sits at t = 0
-        row = _clamp_roundoff(kernel(nodes - nodes[0]) / n)     # t >= 0
-        col = _clamp_roundoff(kernel(nodes[0] - nodes) / n)     # t <= 0
-        vals = np.concatenate([col, row])
+        # one array call for both Toeplitz vectors: the row at t >= 0, the
+        # column at t <= 0, whose first entry sits at t = -0.0 >= 0, as row[0]
+        t = nodes - nodes[0]
+        vals = kernel(np.concatenate((t, -t))) / n
+        row, col = _clamp_roundoff(vals[:n]), _clamp_roundoff(vals[n:])
         return OperatorGrid(n=n, nodes=nodes, toeplitz=(col, row),
-                            kernel_min=float(vals.min()) * n,
-                            kernel_max=float(vals.max()) * n)
+                            kernel_min=float(min(row.min(), col.min())) * n,
+                            kernel_max=float(max(row.max(), col.max())) * n)
     A = np.empty((n, n))
     for i, t0 in enumerate(nodes):
         A[i, :] = [float(kernel(t0, tp)) for tp in nodes]
@@ -167,14 +173,9 @@ def _widen(lo: float, hi: float) -> tuple:
 
 
 def power_iteration_hopf(grid: OperatorGrid, tol: float = 1e-8,
-                         max_iter: Optional[int] = None,
-                         start: Optional[np.ndarray] = None) -> RadiusResult:
-    """Power iteration with nested averaging brackets around the radius.
-
-    The iteration starts from `start` (default: all ones), which must be a
-    finite nonnegative vector of length n with a positive entry.  A start
-    close to the Perron vector makes the first bracket already narrow; the
-    bracket is still an enclosure, as it comes from an actual matvec.
+                         max_iter: Optional[int] = None) -> RadiusResult:
+    """Power iteration from all ones with nested averaging brackets around
+    the radius.
 
     A triangular Toeplitz grid (a two-sided kernel at lam = 0 or 1, where one
     branch vanishes) is answered without iterating: its radius is the
@@ -184,15 +185,6 @@ def power_iteration_hopf(grid: OperatorGrid, tol: float = 1e-8,
     if max_iter is None:
         max_iter = 10 * grid.n
     n = grid.n
-    if start is None:
-        start = np.ones(n)
-    else:
-        start = np.asarray(start, dtype=float)
-        if start.shape != (n,) or not np.isfinite(start).all() \
-                or (start < 0).any() or not (start > 0).any():
-            raise InvalidUseError(
-                f"start must be a finite nonnegative vector of length {n} "
-                "with a positive entry")
     if grid.toeplitz is not None:
         col, row = grid.toeplitz
         upper = not col[1:].any()
@@ -201,7 +193,7 @@ def power_iteration_hopf(grid: OperatorGrid, tol: float = 1e-8,
             v = np.zeros(n)
             v[0 if upper else -1] = 1.0
             return RadiusResult(radius=r, bracket=(r, r), iterations=0, eigvec=v, n=n)
-    v = start
+    v = np.ones(n)
     lo, hi = 0.0, np.inf
     brackets = []
     converged, warning = True, None
@@ -242,33 +234,54 @@ REFINE_N0 = 256
 REFINE_DOUBLINGS = 5
 
 
+def _perron_eigenvalue(grid: OperatorGrid, log_rho: float) -> float:
+    """Eigenvalue of a two-sided kernel's Toeplitz grid whose Perron vector
+    is rho^(t_i), with log_rho = log rho.
+
+    It is mu_n = sum_e row_e rho^(e/n), or equally row_0 + sum_(d>=1)
+    col_d rho^(-d/n), since col_d = rho * row_(n-d) for exact samples.  The
+    sum taken is the one whose weights are <= 1, so no weight overflows at
+    extreme lam; col_0 = row_0 is the sample at t = 0.
+    """
+    col, row = grid.toeplitz
+    side = row if log_rho <= 0 else col
+    return float(np.sum(side * np.exp(-abs(log_rho) * np.arange(grid.n) / grid.n)))
+
+
 def radius_refined(kernel: KernelLike, tol: float = 1e-6) -> RadiusResult:
-    """Grid-doubling power iteration with Richardson extrapolation.
+    """Grid-doubling radius with Richardson extrapolation.
 
-    Runs the Hopf iteration (to tol/100, at most 10*n steps) at REFINE_N0,
-    2*REFINE_N0, ... and extrapolates the bracket midpoints assuming an error
-    expansion in powers of 1/n (orders 1, 2, 3 eliminated in turn).  Stops
-    when two successive extrapolants agree within tol; sets a warning flag
-    when the REFINE_DOUBLINGS budget runs out.  `tol` must be finite and > 0.
-    The result keeps the finest grid's bracket, brackets and iterations but
-    no eigenvector (`eigvec` is None): its radius is the extrapolant, not
-    that grid's eigenvalue.  Run `power_iteration_hopf` on a grid for one.
+    Takes a radius on grids of REFINE_N0, 2*REFINE_N0, ... points and
+    extrapolates it assuming an error expansion in powers of 1/n (orders 1,
+    2, ... eliminated in turn, one more per level).  Stops when two successive extrapolants agree
+    within tol; sets a warning flag when the REFINE_DOUBLINGS budget runs
+    out.  `tol` must be finite and > 0.  The result keeps the finest grid's
+    n, bracket, brackets and iterations but no eigenvector (`eigvec` is
+    None): its radius is the extrapolant, not that grid's eigenvalue.  Run
+    `power_iteration_hopf` on a grid for one.
+
     A two-sided kernel at lam = 1/2 is convolution type: its radius is
-    lam * integral(Ktilde) over [0, 1], returned without a grid.
+    lam * integral(Ktilde) over [0, 1], returned without a grid.  For any
+    other two-sided kernel with 0 < lam < 1, conjugating by rho^t,
+    rho = (1-lam)/lam, turns the midpoint grid into a circulant, so rho^(t_i)
+    is the grid's Perron vector and its radius is
 
-    For any other two-sided kernel with 0 < lam < 1, each grid's iteration
-    starts from rho^(t_i), rho = (1-lam)/lam, scaled to max 1.  Conjugating
-    by rho^t turns the midpoint grid into a circulant, so rho^(t_i) is that
-    grid's Perron vector exactly: the first bracket is a few ulps wide and
-    each level stops after one matvec.  The one-sided grids at lam = 0 and 1
-    are triangular and take no step.  Any other kernel starts from ones.
+        mu_n = sum_(e<n) row_e rho^(e/n),    row_e = lam * Ktilde(e/n) / n,
+
+    the left Riemann sum of the exact radius lam * int_0^1 Ktilde(s) rho^s ds.
+    Each level takes mu_n off the grid's Toeplitz vectors (see
+    `_perron_eigenvalue`) with no FFT and no iteration, reporting bracket (mu_n, mu_n) and 0 iterations, so the
+    schedule is Romberg integration of that integral.  Any other kernel runs
+    the Hopf iteration from ones (to tol/100, at most 10*n steps) on each
+    grid; the one-sided grids at lam = 0 and 1 are triangular and take no
+    step.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be a finite number > 0")
     if isinstance(kernel, TwoSidedKernel) and kernel.lam == 0.5:
         r = float(kernel.reduced.integral01() * kernel.lam)
         return RadiusResult(radius=r, bracket=(r, r), iterations=0)
-    log_rho = 0.0       # rho = 1: the start from ones
+    log_rho = None
     if isinstance(kernel, TwoSidedKernel) and 0 < kernel.lam < 1:
         lam = float(kernel.lam)
         log_rho = math.log1p(-lam) - math.log(lam)
@@ -276,9 +289,11 @@ def radius_refined(kernel: KernelLike, tol: float = 1e-6) -> RadiusResult:
     for level in range(REFINE_DOUBLINGS + 1):
         n = REFINE_N0 * (1 << level)
         grid = discretize(kernel, n)
-        x = log_rho * grid.nodes
-        result = power_iteration_hopf(grid, tol=tol * 1e-2, max_iter=10 * n,
-                                      start=np.exp(x - x.max()))
+        if log_rho is None:
+            result = power_iteration_hopf(grid, tol=tol * 1e-2, max_iter=10 * n)
+        else:
+            mu = _perron_eigenvalue(grid, log_rho)
+            result = RadiusResult(radius=mu, bracket=(mu, mu), iterations=0, n=n)
         values.append(result.radius)
         # Richardson table along the diagonal
         row = list(values)
@@ -294,4 +309,3 @@ def radius_refined(kernel: KernelLike, tol: float = 1e-6) -> RadiusResult:
                         warning=None if converged else
                         "doubling budget exhausted before extrapolants settled",
                         brackets=result.brackets, n=result.n)
-

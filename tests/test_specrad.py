@@ -74,6 +74,10 @@ class TestDiscretize:
             assert two(ts).tobytes() == want.tobytes()
             want = np.array([float(rk(t)) for t in ts + 1])
             assert rk(ts + 1).tobytes() == want.tobytes()
+        # mixed signs, all negative, empty: each branch only where it applies
+        for ts in (np.linspace(-1, 1, 257), -nodes, np.empty(0)):
+            want = np.array([float(two(t)) for t in ts])
+            assert two(ts).tobytes() == want.tobytes()
 
 
 class TestToeplitzMatvec:
@@ -90,15 +94,18 @@ class TestToeplitzMatvec:
             assert np.array_equal(g.matvec(v), matmul_toeplitz(g.toeplitz, v))
 
     def test_one_forward_fft_per_matvec(self, monkeypatch):
+        # the spectrum is built on the first matvec, then reused
         g = discretize(plain_reduced_kernel(2, Fraction(2, 7)).two_sided(), 256)
+        assert g.spectrum is None
         calls = []
         rfft = scipy.fft.rfft
         monkeypatch.setattr(scipy.fft, "rfft",
                             lambda *a, **kw: calls.append(1) or rfft(*a, **kw))
         v = np.ones(g.n)
-        for _ in range(5):
+        for k in range(5):
             v = g.matvec(v)
-        assert len(calls) == 5
+            assert len(calls) == k + 2
+        assert g.spectrum is not None
 
     def test_non_finite_sample_rejected(self):
         nodes = (np.arange(2) + 0.5) / 2
@@ -217,7 +224,10 @@ class TestRadiusRefined:
     def test_refined_result_carries_no_eigvec(self):
         two = plain_reduced_kernel(0, Fraction(3, 10)).two_sided()
         res = radius_refined(two, tol=1e-8)
-        assert res.eigvec is None and res.brackets and res.n >= 256
+        assert res.eigvec is None and res.n >= 256
+        mu = res.bracket[0]
+        assert res.bracket == (mu, mu) and mu != res.radius
+        assert (res.iterations, res.brackets) == (0, [])
 
     @pytest.mark.parametrize("pm1", [0, 2, 4])
     @pytest.mark.parametrize("lam", ["0", "1"])
@@ -302,73 +312,92 @@ class TestExactRadius:
 
 
 class TestPerronStart:
-    """`radius_refined` starts each grid from rho^(t_i), that grid's exact
-    Perron vector (see TestExactRadius), so one matvec settles each level."""
+    """`radius_refined` reads each grid's eigenvalue off its exact Perron
+    vector rho^(t_i) (see TestExactRadius): mu_n = sum_e row_e rho^(e/n),
+    with no FFT and no power iteration."""
 
     LAMS = ["3/1009", "1/7", "7/10", "1006/1009"]
     KERNELS = [("plain", 2), ("plain", 4), ("plain", 7), ("1", 3), ("2", 3)]
 
     @staticmethod
     def _levels(monkeypatch, two, tol=1e-8):
-        """Every (grid, tol, max_iter, result) of one `radius_refined` call."""
-        levels = []
-        hopf = specrad.power_iteration_hopf
+        """The result of one `radius_refined` call and its (grid, level
+        value) pairs, recorded through `discretize`."""
+        grids, values = [], []
+        disc, eig = specrad.discretize, specrad._perron_eigenvalue
 
-        def recording(grid, tol, max_iter, start):
-            res = hopf(grid, tol=tol, max_iter=max_iter, start=start)
-            levels.append((grid, tol, max_iter, res))
-            return res
+        def recording_grid(kernel, n):
+            grids.append(disc(kernel, n))
+            return grids[-1]
 
-        monkeypatch.setattr(specrad, "power_iteration_hopf", recording)
-        radius_refined(two, tol=tol)
-        return levels
+        def recording_value(grid, log_rho):
+            values.append(eig(grid, log_rho))
+            return values[-1]
+
+        monkeypatch.setattr(specrad, "discretize", recording_grid)
+        monkeypatch.setattr(specrad, "_perron_eigenvalue", recording_value)
+        res = radius_refined(two, tol=tol)
+        assert len(grids) >= 2 and len(values) == len(grids)
+        return res, list(zip(grids, values))
 
     @pytest.mark.parametrize("q,pm1", KERNELS, ids=[f"{q}-{d}" for q, d in KERNELS])
     @pytest.mark.parametrize("lam", LAMS)
     def test_one_step_bracket_holds_grid_eigenvalue(self, monkeypatch, q, pm1, lam):
+        # each level value is the grid eigenvalue; the result's bracket is
+        # the finest one's, degenerate
         lamf = float(Fraction(lam))
         log_rho = math.log1p(-lamf) - math.log(lamf)
         two = reduced_kernel(pm1, Fraction(lam), CLASSES[q]).two_sided()
-        for grid, _, _, res in self._levels(monkeypatch, two):
+        res, levels = self._levels(monkeypatch, two)
+        for grid, value in levels:
             n = grid.n
             want = math.fsum(grid.toeplitz[1] * np.exp(log_rho * np.arange(n) / n))
-            lo, hi = res.bracket
-            assert res.iterations == 1 and res.converged
-            assert lo <= want <= hi, n
+            assert abs(value - want) <= 1e-14 * want, n
+        assert res.bracket == (value, value) and res.n == n
+        assert (res.iterations, res.brackets, res.converged) == (0, [], True)
 
     @pytest.mark.parametrize("q,pm1", KERNELS, ids=[f"{q}-{d}" for q, d in KERNELS])
     @pytest.mark.parametrize("lam", LAMS)
     def test_agrees_with_start_from_ones(self, monkeypatch, q, pm1, lam):
-        # the old start from ones, kept here as the oracle
+        # the power iteration from ones on each grid, kept here as the oracle
+        tol = 1e-8
         two = reduced_kernel(pm1, Fraction(lam), CLASSES[q]).two_sided()
-        for grid, tol, max_iter, res in self._levels(monkeypatch, two):
-            old = power_iteration_hopf(grid, tol=tol, max_iter=max_iter)
-            lo, hi = res.bracket
+        _, levels = self._levels(monkeypatch, two, tol)
+        for grid, value in levels:
+            old = power_iteration_hopf(grid, tol=tol / 100, max_iter=10 * grid.n)
             assert old.converged
-            assert lo - tol <= old.radius <= hi + tol, grid.n
+            assert abs(old.radius - value) <= tol / 100, grid.n
 
     @pytest.mark.parametrize("lam", ["1/7", "331/1009", "7/10"])
-    def test_one_matvec_per_level(self, monkeypatch, lam):
-        calls = []
-        matvec = OperatorGrid.matvec
+    def test_no_matvec_and_no_spectrum(self, monkeypatch, lam):
+        def no_step(self, v):
+            raise AssertionError("the level value needs no matvec")
 
-        def counting(self, v):
-            calls.append(self.n)
-            return matvec(self, v)
+        monkeypatch.setattr(OperatorGrid, "matvec", no_step)
+        two = plain_reduced_kernel(4, Fraction(lam)).two_sided()
+        res, levels = self._levels(monkeypatch, two)
+        assert res.converged
+        assert all(grid.spectrum is None for grid, _ in levels)
 
-        monkeypatch.setattr(OperatorGrid, "matvec", counting)
-        res = radius_refined(plain_reduced_kernel(4, Fraction(lam)).two_sided(), tol=1e-8)
-        levels = (res.n // specrad.REFINE_N0).bit_length()
-        assert res.converged and levels >= 2
-        assert calls == [specrad.REFINE_N0 << k for k in range(levels)]
+    @pytest.mark.parametrize("lam", [1e-12, 1e-30, 1e-100, 1 - 1e-12])
+    def test_extreme_lambda_converges(self, lam):
+        # the weights rho^(+-e/n) stay <= 1 however far lam is from 1/2
+        two = plain_reduced_kernel(0, Fraction(lam)).two_sided()
+        res = radius_refined(two, tol=1e-9)
+        assert res.converged
+        assert abs(res.radius - w_plain(lam)) <= 1e-9 * w_plain(lam)
 
-    @pytest.mark.parametrize("start", [np.ones(7), np.ones((8, 1)),
-                                       np.r_[np.ones(7), np.nan],
-                                       np.r_[np.ones(7), -1.0], np.zeros(8)],
-                             ids=["short", "column", "nan", "negative", "zero"])
-    def test_bad_start_rejected(self, start):
-        with pytest.raises(InvalidUseError):
-            power_iteration_hopf(discretize(lambda s, t: 1.0, 8), start=start)
+    def test_subnormal_lambda_is_finite_or_unconverged(self):
+        # rho overflows a float here; the RuntimeWarning filter makes any
+        # overflow or NaN an error
+        two = plain_reduced_kernel(0, Fraction(5e-324)).two_sided()
+        res = radius_refined(two, tol=1e-8)
+        assert math.isfinite(res.radius) and res.radius > 0
+        if res.converged:
+            assert _kernel_radius(0, Fraction(5e-324), PLAIN) == res.radius
+        else:
+            with pytest.raises(specrad.UnconvergedError):
+                _kernel_radius(0, Fraction(5e-324), PLAIN)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_bad_tol_rejected(self, tol):
@@ -430,21 +459,21 @@ class TestPinnedBits:
 
     # (class, p-1, lam, grid digest, refined radius)
     CASES = [
-        ("plain", 0, "1/7", "b5e3bfe6e3a94f5d", "0x1.9837d2aad2817p-2"),
-        ("plain", 0, "2/7", "75d1d0aebb74588e", "0x1.def31d841b4e9p-2"),
+        ("plain", 0, "1/7", "b5e3bfe6e3a94f5d", "0x1.9837d2aad281bp-2"),
+        ("plain", 0, "2/7", "75d1d0aebb74588e", "0x1.def31d841b4dbp-2"),
         ("plain", 0, "331/1009", "90b1603d311f0870", "0x1.eb22c42d5cf5ap-2"),
-        ("plain", 2, "1/7", "f3d66fc37bfe4684", "0x1.037fe6b154068p-4"),
-        ("plain", 2, "2/7", "f64ab9782c1ab87f", "0x1.a31c93af9ea3ep-4"),
-        ("plain", 2, "331/1009", "5b10bd95347f6253", "0x1.c3ec66b6baad8p-4"),
-        ("plain", 4, "1/7", "0ec94e6579138d57", "0x1.49ec0521e43fep-7"),
-        ("plain", 4, "2/7", "7a8d35193c6e2c05", "0x1.6ebfdffb20fe0p-6"),
-        ("plain", 4, "331/1009", "fffd9150715dec1a", "0x1.9fd7803821cc0p-6"),
-        ("plain", 7, "1/7", "b577ff9738a52d46", "0x1.4e6e9e965e427p-11"),
+        ("plain", 2, "1/7", "f3d66fc37bfe4684", "0x1.037fe6b15406cp-4"),
+        ("plain", 2, "2/7", "f64ab9782c1ab87f", "0x1.a31c93af9ea44p-4"),
+        ("plain", 2, "331/1009", "5b10bd95347f6253", "0x1.c3ec66b6baad6p-4"),
+        ("plain", 4, "1/7", "0ec94e6579138d57", "0x1.49ec0521e43f8p-7"),
+        ("plain", 4, "2/7", "7a8d35193c6e2c05", "0x1.6ebfdffb20fe3p-6"),
+        ("plain", 4, "331/1009", "fffd9150715dec1a", "0x1.9fd7803821cc4p-6"),
+        ("plain", 7, "1/7", "b577ff9738a52d46", "0x1.4e6e9e965e41fp-11"),
         ("plain", 7, "2/7", "80b450b33cf37279", "0x1.2c367e14257ccp-9"),
-        ("plain", 7, "331/1009", "5364a06f75159c68", "0x1.6f0c5432e30e6p-9"),
-        ("1", 3, "1/7", "683b1bdde4b6d812", "0x1.9dcc6db12cbf7p-6"),
-        ("1", 3, "331/1009", "248a1cb958fe439e", "0x1.b181e45b973eap-5"),
-        ("2", 3, "1/7", "12865edf19e88271", "0x1.9dcc6db12cbfap-6"),
+        ("plain", 7, "331/1009", "5364a06f75159c68", "0x1.6f0c5432e30e3p-9"),
+        ("1", 3, "1/7", "683b1bdde4b6d812", "0x1.9dcc6db12cbfdp-6"),
+        ("1", 3, "331/1009", "248a1cb958fe439e", "0x1.b181e45b973ecp-5"),
+        ("2", 3, "1/7", "12865edf19e88271", "0x1.9dcc6db12cbfep-6"),
         ("2", 3, "331/1009", "25864260769ac7ea", "0x1.b181e45b973ebp-5"),
     ]
 
