@@ -8,11 +8,12 @@ where the ascent/descent counts may include half-integer boundary markers.
 
 The ell^1 norm of a marked sum mu_ab(a, k-a) at a rational lam needs no
 per-lam polynomial: every coefficient is lam^j * (lam-1)^(k-j), so the norm
-is sum_j N(j) |lam|^j |lam-1|^(k-j), where N(j) counts the words with j
-ascents.  `perm_sum_l1` takes N from one lam-independent table per degree k,
-counting the s in S_k by first letter s(1) and ascents of s.  The table
-serves every marker a+1/2: the marker transition is an ascent exactly when
-s(1) > a.  Each new lam then costs O(k) exact operations instead of k!
+is sum_j N_a(j) |lam|^j |lam-1|^(k-j), where N_a(j) counts the words with j
+ascents.  `ascent_rows` keeps the rows N_a, a = 0..k, of each degree k in a
+cache, built from one lam-independent count of the s in S_k by first letter
+s(1) and ascents of s: the marker a+1/2 ascends into s exactly when
+s(1) > a.  `umqnorm.plain_theta_numerators` evaluates them at lam in
+integers, so each new lam costs O(k^2) integer operations instead of k!
 polynomial evaluations.
 """
 
@@ -298,38 +299,22 @@ def mu_ab(a: int, b: int) -> NCPoly:
 
 
 @lru_cache(maxsize=None)
-def _ascent_table(k: int) -> tuple:
-    """Row f-1 counts the s in S_k with s(1) = f by their ascents 0..k-1."""
-    table = [[0] * k for _ in range(k)]
-    for s in permutations(range(1, k + 1)):
-        table[s[0] - 1][_asc_des(s)[0]] += 1
-    return tuple(map(tuple, table))
-
-
-def _ascent_counts(k: int, a: int) -> list[int]:
-    """N(j), j = 0..k: words of mu_ab(a, k-a) whose weight is
-    lam^j * (lam-1)^(k-j)."""
-    counts = [0] * (k + 1)
-    for f, row in enumerate(_ascent_table(k), start=1):
-        shift = f > a                       # the marker a+1/2 ascends to f
-        for j, c in enumerate(row):
-            counts[j + shift] += c
-    return counts
-
-
-def perm_sum_l1(k: int, lam, a: int) -> Fraction:
-    """Exact ell^1 norm of the marked sum mu_ab(a, k-a) at lam.
-
-    Equals l1_norm(eval_lambda(mu_ab(a, k-a), lam)) without building the
-    k! words.
-    """
-    if not 0 <= a <= k:
-        raise DegreeError("a, b must be nonnegative")
+def ascent_rows(k: int) -> tuple:
+    """Row a holds N_a(j), j = 0..k: the number of words of mu_ab(a, k-a)
+    whose weight is lam^j * (lam-1)^(k-j), for every split a = 0..k."""
     _check_degree(k)
-    lam = _as_fraction(lam)
-    x, y = abs(lam), abs(lam - 1)
-    return sum((c * x ** j * y ** (k - j)
-                for j, c in enumerate(_ascent_counts(k, a))), Fraction(0))
+    by_first = [[0] * k for _ in range(k)]      # s(1) = f, ascents of s
+    for s in permutations(range(1, k + 1)):
+        by_first[s[0] - 1][_asc_des(s)[0]] += 1
+    rows = []
+    for a in range(k + 1):
+        counts = [0] * (k + 1)
+        for f, row in enumerate(by_first, start=1):
+            shift = f > a                       # the marker a+1/2 ascends to f
+            for j, c in enumerate(row):
+                counts[j + shift] += c
+        rows.append(tuple(counts))
+    return tuple(rows)
 
 
 def eval_lambda(poly: NCPoly, lam) -> NCPoly:

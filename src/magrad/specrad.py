@@ -95,18 +95,6 @@ class OperatorGrid:
             return None
         return (M - m) / (M + m)
 
-    @classmethod
-    def from_matrix(cls, A: np.ndarray) -> "OperatorGrid":
-        A = np.asarray(A, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise InvalidUseError("matrix grid must be square")
-        if (A < 0).any():
-            raise InvalidKernelError("negative matrix entry")
-        n = A.shape[0]
-        nodes = (np.arange(n) + 0.5) / n
-        return cls(n=n, nodes=nodes, matrix=A,
-                   kernel_min=float(A.min()) * n, kernel_max=float(A.max()) * n)
-
 
 def discretize(kernel: KernelLike, n: int) -> OperatorGrid:
     """Build the n-point midpoint Nystrom grid for a kernel on [0, 1]^2."""
@@ -130,7 +118,7 @@ def discretize(kernel: KernelLike, n: int) -> OperatorGrid:
                         kernel_min=float(A.min()), kernel_max=float(A.max()))
 
 
-@dataclass
+@dataclass(slots=True)
 class RadiusResult:
     radius: float
     bracket: tuple
@@ -284,7 +272,11 @@ def radius_refined(kernel: KernelLike, tol: float = 1e-6) -> RadiusResult:
     log_rho = None
     if isinstance(kernel, TwoSidedKernel) and 0 < kernel.lam < 1:
         lam = float(kernel.lam)
-        log_rho = math.log1p(-lam) - math.log(lam)
+        if 0.0 < lam < 1.0:
+            log_rho = math.log1p(-lam) - math.log(lam)
+        else:       # an exact lam = n/d that rounds to 0 or 1 as a float
+            num, den = kernel.lam.numerator, kernel.lam.denominator
+            log_rho = math.log(den - num) - math.log(num)
     values, last = [], None
     for level in range(REFINE_DOUBLINGS + 1):
         n = REFINE_N0 * (1 << level)

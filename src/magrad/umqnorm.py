@@ -31,7 +31,7 @@ from math import factorial, log2
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .freealg import NCPoly, _check_degree, eval_lambda, mu_ab, perm_sum_l1
+from .freealg import DegreeError, NCPoly, _check_degree, ascent_rows, eval_lambda, mu_ab
 from .series import compositions
 from .simplex import simplex_min, verify_certificate
 
@@ -441,6 +441,24 @@ def fa_norm_upper(x: NCPoly, cls: ConvexityClass,
 THETA_CACHE_SIZE = 4096
 
 
+def plain_theta_numerators(k: int, lam) -> tuple[tuple[int, ...], int]:
+    """Every plain Theta_{a,k-a}(lam), a = 0..k, over one denominator:
+    (numerators, k! * d^k) for lam = n/d in lowest terms.
+
+    The ell^1 norm of mu_ab(a, k-a) is sum_j N_a(j) |lam|^j |lam-1|^(k-j),
+    N_a the rows of `ascent_rows`, so numerator a is the integer
+    sum_j N_a(j) |n|^j |n-d|^(k-j): integer powers and one integer mat-vec,
+    with no Fraction arithmetic.
+    """
+    rows = ascent_rows(k)
+    lam = Fraction(lam)
+    n, d = lam.numerator, lam.denominator
+    x, y = abs(n), abs(n - d)
+    monos = [x ** j * y ** (k - j) for j in range(k + 1)]
+    nums = tuple(sum(c * m for c, m in zip(row, monos)) for row in rows)
+    return nums, factorial(k) * d ** k
+
+
 @lru_cache(maxsize=THETA_CACHE_SIZE)
 def theta_ab(a: int, b: int, lam: Fraction, cls: ConvexityClass) -> NormValue:
     """Norm of the boundary-marked permutation sum, divided by (a+b)!.
@@ -450,7 +468,10 @@ def theta_ab(a: int, b: int, lam: Fraction, cls: ConvexityClass) -> NormValue:
     lam = Fraction(lam)
     p1 = a + b
     if cls.is_plain:
-        v = perm_sum_l1(p1, lam, a) / factorial(p1)
+        if a < 0 or b < 0:
+            raise DegreeError("a, b must be nonnegative")
+        nums, den = plain_theta_numerators(p1, lam)
+        v = Fraction(nums[a], den)
         return NormValue(v, v)
     poly = eval_lambda(mu_ab(a, b), lam)
     return fa_norm_exact(poly, cls).scale(Fraction(1, factorial(p1)))

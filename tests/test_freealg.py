@@ -10,15 +10,16 @@ from hypothesis import strategies as st
 
 from magrad.freealg import (
     LAM,
+    LAM_MINUS_ONE,
     DegreeError,
     LambdaPoly,
     NCPoly,
+    ascent_rows,
     eval_lambda,
     l1_norm,
     mu_ab,
     mu_lambda,
     _asc_des,
-    _ascent_counts,
     _weight,
 )
 
@@ -156,17 +157,32 @@ class TestAscentCounts:
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_counts_cover_every_word(self, k):
-        for a in range(k + 1):
-            counts = _ascent_counts(k, a)
+        rows = ascent_rows(k)
+        assert len(rows) == k + 1
+        for a, counts in enumerate(rows):
             assert sum(counts) == factorial(k) and len(counts) == k + 1
             # reversal: Theta_ab(lam) = Theta_ba(1 - lam)
-            assert counts == _ascent_counts(k, k - a)[::-1]
+            assert counts == rows[k - a][::-1]
 
     def test_eulerian_numbers_and_outer_markers(self):
         # marker 1/2 ascends into every word, marker 8 + 1/2 descends, so the
         # outer markers shift the Eulerian row of S_8 by one ascent or none
-        assert _ascent_counts(8, 0) == [0] + self.EULERIAN_8
-        assert _ascent_counts(8, 8) == self.EULERIAN_8 + [0]
+        assert ascent_rows(8)[0] == (0, *self.EULERIAN_8)
+        assert ascent_rows(8)[8] == (*self.EULERIAN_8, 0)
+
+    def test_rows_match_the_word_weights(self):
+        # N_a(j) counts the words of mu_ab(a, k-a) weighted lam^j (lam-1)^(k-j)
+        for k in range(1, 5):
+            for a in range(k + 1):
+                weights = list(mu_ab(a, k - a).terms.values())
+                assert ascent_rows(k)[a] == tuple(
+                    weights.count(LAM ** j * LAM_MINUS_ONE ** (k - j))
+                    for j in range(k + 1))
+
+    def test_degree_checked(self):
+        for k in (0, 9):
+            with pytest.raises(DegreeError):
+                ascent_rows(k)
 
 
 class TestMuABC:

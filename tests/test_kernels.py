@@ -1,12 +1,16 @@
 """Reduced kernels, generating-function oracles, and the correction polynomial."""
 
+from collections import Counter
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import comb, factorial
 
 import pytest
 
+from magrad.freealg import ascent_rows, mu_ab
 from magrad.kernels import (
     ReducedKernel,
+    _bernstein_to_monomial,
     _denominator_series,
     b_correction,
     g_tilde_series,
@@ -14,12 +18,46 @@ from magrad.kernels import (
     plain_reduced_kernel,
     reduced_kernel,
 )
-from magrad.magnus import euler_coeffs
+from magrad.magnus import euler_coeffs, scan_rows
 from magrad.series import series_div
 from magrad.umqnorm import PLAIN, ConvexityClass, theta_ab, theta_k
 
 Q1 = ConvexityClass.from_q(1)
+Q2 = ConvexityClass.from_q(2)
 HALF = Fraction(1, 2)
+TINY = Fraction(1, 10 ** 400)
+#: lam where plain kernels are checked: inside, on and outside [0, 1], with
+#: large denominators, and within 10^-400 of either end
+ORACLE_LAMS = ([Fraction(0), Fraction(1), HALF, Fraction(1, 3), Fraction(-3, 7),
+                Fraction(5, 2), TINY, 1 - TINY]
+               + [Fraction(k, 1009) for k in (1, 331, 500, 1008)]
+               + [Fraction(x).limit_denominator(10 ** 9)
+                  for x in (0.123456789, 0.7071067811865476, 0.9999999)])
+
+
+@lru_cache(maxsize=None)
+def word_weights(a: int, b: int) -> tuple:
+    """(weight polynomial, number of words) pairs of mu_ab(a, b), counted
+    over its (a+b)! words."""
+    return tuple(Counter(mu_ab(a, b).terms.values()).items())
+
+
+def plain_theta_oracle(a: int, b: int, lam: Fraction) -> Fraction:
+    """ell^1 norm of mu_ab(a, b) at lam over (a+b)!, from the words."""
+    return sum(n * abs(w(lam)) for w, n in word_weights(a, b)) / factorial(a + b)
+
+
+def expand_per_a(k: int, theta_of) -> tuple:
+    """The per-a expansion of sum_a theta_of(a) C(k,a) (1-t)^a t^(k-a) into
+    powers of t, one product at a time in this order."""
+    if k == 0:
+        return (Fraction(1),)
+    coeffs = [Fraction(0)] * (k + 1)
+    for a in range(k + 1):
+        theta, base = theta_of(a), comb(k, a)
+        for i in range(a + 1):
+            coeffs[k - a + i] += theta * base * comb(a, i) * (-1) ** i
+    return tuple(coeffs)
 
 
 def g_series(lam, N: int) -> list:
@@ -102,6 +140,55 @@ class TestReducedKernel:
     def test_csv_rows(self):
         rows = kernel_csv_rows(reduced_kernel(2, HALF, PLAIN), samples=5)
         assert len(rows) == 5 and rows[0][0] == 0.0 and rows[-1][0] == 1.0
+
+
+class TestPlainKernelAssembly:
+    @pytest.mark.parametrize("k", range(9))
+    def test_matches_per_a_expansion_of_word_sums(self, k):
+        for lam in ORACLE_LAMS:
+            want = expand_per_a(k, lambda a: plain_theta_oracle(a, k - a, lam))
+            rk = plain_reduced_kernel(k, lam)
+            assert rk.coeffs == want, lam
+            assert all(type(c) is Fraction for c in rk.coeffs)
+            assert rk.lam == lam and rk.p_minus_1 == k
+
+    @pytest.mark.parametrize("lam", [Fraction(0), Fraction(1, 3), Fraction(5, 11),
+                                     Fraction(331, 1009), Fraction(1), TINY])
+    def test_matches_generating_function(self, lam):
+        ts = [Fraction(i, 7) for i in range(8)] + [Fraction(1, 10 ** 9)]
+        for t in ts:
+            series = g_tilde_series(lam, t, 8)
+            for k in range(9):
+                assert plain_reduced_kernel(k, lam)(t) == series[k], (k, t)
+
+    def test_theta_reads_the_same_numerators(self):
+        for lam in ORACLE_LAMS:
+            for k in range(1, 7):
+                for a in range(k + 1):
+                    assert theta_ab(a, k - a, lam, PLAIN).value \
+                        == plain_theta_oracle(a, k - a, lam)
+
+    @pytest.mark.parametrize("lam", [Fraction(1, 3), Fraction(2, 7), HALF])
+    def test_q_classes_keep_the_per_a_expansion(self, lam):
+        for k in range(5):
+            want = expand_per_a(k, lambda a: theta_ab(a, k - a, lam, Q1).value)
+            assert reduced_kernel(k, lam, Q1).coeffs == want
+            got = reduced_kernel(k, lam, Q2).coeffs
+            want = expand_per_a(k, lambda a: theta_ab(a, k - a, lam, Q2).mid)
+            assert [float(c).hex() for c in got] == [float(c).hex() for c in want]
+
+    def test_scan_reads_integer_tables_only(self):
+        # a plain scan builds each degree's tables once and never asks
+        # theta_ab for a value
+        ascent_rows.cache_clear()
+        _bernstein_to_monomial.cache_clear()
+        before = theta_ab.cache_info()
+        rows = scan_rows(5, PLAIN, grid=41)
+        after = theta_ab.cache_info()
+        assert len(rows) == 41
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+        assert ascent_rows.cache_info().misses == 1
+        assert _bernstein_to_monomial.cache_info().misses == 1
 
 
 class TestGSeries:

@@ -26,6 +26,14 @@ Q1 = ConvexityClass.from_q(1)
 CLASSES = {"plain": PLAIN, "1": Q1, "2": ConvexityClass.from_q(2)}
 
 
+def matrix_grid(A) -> OperatorGrid:
+    """A dense grid whose matrix is the nonnegative square matrix A."""
+    A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    return OperatorGrid(n=n, nodes=(np.arange(n) + 0.5) / n, matrix=A,
+                        kernel_min=float(A.min()) * n, kernel_max=float(A.max()) * n)
+
+
 def grid_convolve(k1: TwoSidedKernel, k2: TwoSidedKernel, n: int) -> OperatorGrid:
     """Discretized kernel product (K1 * K2)(s, t) = int K1(s, r) K2(r, t) dr.
 
@@ -36,7 +44,7 @@ def grid_convolve(k1: TwoSidedKernel, k2: TwoSidedKernel, n: int) -> OperatorGri
     (c1, r1), (c2, r2) = discretize(k1, n).toeplitz, discretize(k2, n).toeplitz
     A = matmul_toeplitz((c1, r1), np.eye(n))
     B = matmul_toeplitz((c2, r2), np.eye(n))
-    return OperatorGrid.from_matrix(A @ B)
+    return matrix_grid(A @ B)
 
 
 class TestDiscretize:
@@ -122,7 +130,7 @@ class TestPowerIteration:
         assert res.radius == pytest.approx(0.3, abs=1e-12)
 
     def test_zero_kernel(self):
-        g = OperatorGrid.from_matrix(np.zeros((5, 5)))
+        g = matrix_grid(np.zeros((5, 5)))
         res = power_iteration_hopf(g)
         assert res.radius == 0.0 and res.bracket == (0.0, 0.0)
 
@@ -130,7 +138,7 @@ class TestPowerIteration:
         rng = np.random.default_rng(5)
         for _ in range(20):
             A = rng.uniform(0, 1, size=(8, 8))
-            g = OperatorGrid.from_matrix(A)
+            g = matrix_grid(A)
             res = power_iteration_hopf(g, tol=1e-10)
             r = float(np.abs(np.linalg.eigvals(A)).max())
             lo, hi = res.bracket
@@ -153,7 +161,7 @@ class TestPowerIteration:
 
     def test_edge_exits_keep_their_fields(self):
         # the zero kernel settles whatever the tolerance; no budget, no step
-        zero = power_iteration_hopf(OperatorGrid.from_matrix(np.zeros((3, 3))), tol=-1.0)
+        zero = power_iteration_hopf(matrix_grid(np.zeros((3, 3))), tol=-1.0)
         assert (zero.radius, zero.bracket, zero.iterations, zero.converged,
                 zero.warning, zero.brackets) == (0.0, (0.0, 0.0), 1, True, None, [(0.0, 0.0)])
         none = power_iteration_hopf(discretize(lambda s, t: 1.0, 4), max_iter=0)
@@ -399,6 +407,17 @@ class TestPerronStart:
             with pytest.raises(specrad.UnconvergedError):
                 _kernel_radius(0, Fraction(5e-324), PLAIN)
 
+    @pytest.mark.parametrize("lam", [Fraction(1, 10 ** 400), 1 - Fraction(1, 10 ** 400)])
+    def test_lambda_that_rounds_to_an_endpoint(self, lam):
+        # float(lam) is 0 or 1, so log rho comes from lam's exact terms
+        res = radius_refined(plain_reduced_kernel(2, lam).two_sided(), tol=1e-8)
+        mirror = radius_refined(plain_reduced_kernel(2, 1 - lam).two_sided(), tol=1e-8)
+        assert res.converged and res.radius == mirror.radius > 0
+        assert c_bound_pth_root(lam, 3, PLAIN).lower == pytest.approx(862.010318775, rel=1e-11)
+        # degree 0 runs out of doublings, as at lam = 1e-300
+        with pytest.raises(specrad.UnconvergedError):
+            _kernel_radius(0, lam, PLAIN)
+
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_bad_tol_rejected(self, tol):
         two = plain_reduced_kernel(2, Fraction(1, 3)).two_sided()
@@ -534,7 +553,7 @@ class TestPinnedBits:
     def test_zero_entry_iterates(self, monkeypatch):
         # a dense grid with a zero row: the second iterate has a zero entry,
         # which the masked ratio step skips
-        g = OperatorGrid.from_matrix(np.array([[0.0, 0.0], [1.0, 1.0]]))
+        g = matrix_grid(np.array([[0.0, 0.0], [1.0, 1.0]]))
         has_zero = []
         matvec = OperatorGrid.matvec
 
