@@ -10,11 +10,12 @@ The ell^1 norm of a marked sum mu_ab(a, k-a) at a rational lam needs no
 per-lam polynomial: every coefficient is lam^j * (lam-1)^(k-j), so the norm
 is sum_j N_a(j) |lam|^j |lam-1|^(k-j), where N_a(j) counts the words with j
 ascents.  `ascent_rows` keeps the rows N_a, a = 0..k, of each degree k in a
-cache, built from one lam-independent count of the s in S_k by first letter
-s(1) and ascents of s: the marker a+1/2 ascends into s exactly when
-s(1) > a.  `umqnorm.plain_theta_numerators` evaluates them at lam in
-integers, so each new lam costs O(k^2) integer operations instead of k!
-polynomial evaluations.
+cache, built from the count of the s in S_k by first letter s(1) and ascents
+of s: the marker a+1/2 ascends into s exactly when s(1) > a.  That count is
+itself the degree k-1 table, so each degree costs O(k^3) additions and no
+permutation is enumerated.  `umqnorm.plain_theta_numerators` evaluates the
+rows at lam in integers, so each new lam costs O(k^2) integer operations
+instead of k! polynomial evaluations.
 """
 
 from __future__ import annotations
@@ -303,9 +304,11 @@ def ascent_rows(k: int) -> tuple:
     """Row a holds N_a(j), j = 0..k: the number of words of mu_ab(a, k-a)
     whose weight is lam^j * (lam-1)^(k-j), for every split a = 0..k."""
     _check_degree(k)
-    by_first = [[0] * k for _ in range(k)]      # s(1) = f, ascents of s
-    for s in permutations(range(1, k + 1)):
-        by_first[s[0] - 1][_asc_des(s)[0]] += 1
+    # by_first[f-1][j] counts the s in S_k with s(1) = f and j ascents: s is
+    # f followed by a word of S_(k-1) relabelled around f, which ascends out
+    # of f exactly when the marker (f-1)+1/2 ascends into it, so the counts
+    # are row f-1 of degree k-1; the one word of S_1 has no ascent
+    by_first = ascent_rows(k - 1) if k > 1 else ((1,),)
     rows = []
     for a in range(k + 1):
         counts = [0] * (k + 1)

@@ -12,12 +12,12 @@ lam*(1-lam)*Theta_{p-1}); the wrapped one-sided kernel, by contrast,
 genuinely jumps at 0, which is why t = 0 is assigned to the lam branch and
 the quadrature in `specrad` samples cell midpoints only.
 
-In the plain (ell^1) case every Theta_ab is an integer numerator over the
-one denominator (p-1)! * d^(p-1) at lam = n/d
-(`umqnorm.plain_theta_numerators`), so the kernel is a cached integer
-matrix, Bernstein weights to powers of t, applied to them: one integer
-mat-vec and one Fraction per coefficient.  The plain case also has a
-generating-function oracle: Ktilde_{p-1}(t) is
+Every class expands the Bernstein coefficients C(p-1,a) * Theta_ab into
+powers of t through one cached integer table.  In the plain (ell^1) case
+every Theta_ab is an integer numerator over the one denominator
+(p-1)! * d^(p-1) at lam = n/d (`umqnorm.plain_theta_numerators`), so the
+table acts on integers and each coefficient costs one Fraction.  The plain
+case also has a generating-function oracle: Ktilde_{p-1}(t) is
 the x^(p-1) coefficient of Gt(lam*x, (1-lam)*x | t), computed by exact
 series division (the shared factor 2*lam-1 of numerator and denominator is
 divided out symbolically first, so lam = 1/2 needs no special casing).
@@ -103,13 +103,14 @@ class TwoSidedKernel:
 
 @lru_cache(maxsize=None)
 def _bernstein_to_monomial(k: int) -> tuple:
-    """Row m lists the (a, w) with w = C(k,a) * C(a,i) * (-1)^i, m = k-a+i:
-    the t^m coefficient of sum_a Theta_{a,k-a} C(k,a) (1-t)^a t^(k-a) is
-    sum w * Theta_{a,k-a} over row m."""
+    """Row m lists the (a, w) with w = C(a,i) * (-1)^i, m = k-a+i, a
+    ascending: the t^m coefficient of sum_a B_a (1-t)^a t^(k-a) is
+    sum w * B_a over row m, with B_a = C(k,a) * Theta_{a,k-a} the Bernstein
+    coefficients."""
     rows = [[] for _ in range(k + 1)]
     for a in range(k + 1):
         for i in range(a + 1):
-            rows[k - a + i].append((a, comb(k, a) * comb(a, i) * (-1) ** i))
+            rows[k - a + i].append((a, comb(a, i) * (-1) ** i))
     return tuple(map(tuple, rows))
 
 
@@ -128,23 +129,18 @@ def reduced_kernel(p_minus_1: int, lam, cls: ConvexityClass) -> ReducedKernel:
         return ReducedKernel(coeffs=(Fraction(1),), lam=lam, p_minus_1=0)
     lamf = Fraction(lam)
     if cls.is_plain:
-        nums, den = plain_theta_numerators(p_minus_1, lamf)
-        coeffs = tuple(Fraction(sum(w * nums[a] for a, w in row), den)
-                       for row in _bernstein_to_monomial(p_minus_1))
-        return ReducedKernel(coeffs=coeffs, lam=lamf, p_minus_1=p_minus_1)
-    norms = (theta_ab(a, p_minus_1 - a, lamf, cls) for a in range(p_minus_1 + 1))
-    thetas = [tv.value if cls.exact else tv.mid for tv in norms]
-    # expand sum_a thetas[a] * (p-1)!/(a! b!) (1-t)^a t^b into powers of t;
-    # a float Theta turns each product float through Fraction's fallback, so
-    # the products keep this order: one matrix weight would round differently
-    coeffs = [Fraction(0)] * (p_minus_1 + 1)
-    for a, theta in enumerate(thetas):
-        b = p_minus_1 - a
-        base = comb(p_minus_1, a)
-        # (1-t)^a = sum_i C(a,i) (-1)^i t^i
-        for i in range(a + 1):
-            coeffs[b + i] += theta * base * comb(a, i) * (-1) ** i
-    return ReducedKernel(coeffs=tuple(coeffs), lam=lamf if cls.exact else float(lamf),
+        thetas, den = plain_theta_numerators(p_minus_1, lamf)
+        den = Fraction(den)
+    else:
+        norms = (theta_ab(a, p_minus_1 - a, lamf, cls) for a in range(p_minus_1 + 1))
+        thetas, den = [tv.value if cls.exact else tv.mid for tv in norms], 1
+    # Theta is scaled by C(k,a) before the signed weights C(a,i)(-1)^i, so a
+    # float Theta (q = 2 midpoint) rounds as in the per-a expansion
+    # (Theta*C(k,a))*C(a,i); the sign flip is exact
+    bern = [theta * comb(p_minus_1, a) for a, theta in enumerate(thetas)]
+    coeffs = tuple(sum(w * bern[a] for a, w in row) / den
+                   for row in _bernstein_to_monomial(p_minus_1))
+    return ReducedKernel(coeffs=coeffs, lam=lamf if cls.exact else float(lamf),
                          p_minus_1=p_minus_1)
 
 

@@ -279,8 +279,6 @@ def _kernel_radius(p_minus_1: int, lam: Fraction, cls: ConvexityClass,
                    tol: float = 1e-8) -> float:
     """Spectral radius of the degree p-1 estimating kernel at one lam;
     UnconvergedError when the grid refinement did not settle."""
-    if p_minus_1 < 0:
-        raise ValueError("p-1 must be >= 0")
     res = radius_refined(reduced_kernel(p_minus_1, lam, cls).two_sided(), tol=tol)
     if not res.converged:
         raise UnconvergedError(f"p-1 = {p_minus_1}, lam = {Fraction(lam)}: {res.warning}")

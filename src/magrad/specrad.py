@@ -7,16 +7,16 @@ between positive constants m and M.  Brackets are widened by a few ulps per
 step and intersected with the previous bracket, so the stored sequence is
 nested and each interval still contains the grid operator's radius.
 
-Toeplitz kernels (two-sided reduced form) multiply through the FFT of their
-embedding circulant, one rfft/irfft pair per step.  `radius_refined` runs a
-grid doubling schedule with Richardson extrapolation, which removes the
-O(1/n), O(1/n^2), ... discretization errors in turn.  For a two-sided kernel
-with 0 < lam < 1, lam != 1/2, it needs neither the FFT nor the iteration:
-conjugating by rho^t, rho = (1-lam)/lam, turns the midpoint grid into a
-circulant, so rho^(t_i) is the grid's Perron vector and its eigenvalue is
-mu_n = sum_e row_e rho^(e/n), read off the grid's Toeplitz vectors.  That is
-the left Riemann sum of lam * integral_0^1 Ktilde(s) rho^s ds, the kernel's
-exact radius, and the doubling-plus-Richardson schedule on it is Romberg
+Toeplitz kernels (two-sided reduced form) multiply through
+`scipy.linalg.matmul_toeplitz`.  `radius_refined` answers a two-sided
+kernel without that product: at lam = 1/2 by its closed form, at lam in
+{0, 1} by 0 (one branch vanishes and the operator is Volterra), and
+otherwise by conjugating with rho^t, rho = (1-lam)/lam, which turns the
+midpoint grid into a circulant, so rho^(t_i) is the grid's Perron vector
+and its eigenvalue is mu_n = sum_e row_e rho^(e/n), read off the grid's
+Toeplitz vectors.  That is the left Riemann sum of
+lam * integral_0^1 Ktilde(s) rho^s ds, the kernel's exact radius, and the
+grid doubling schedule with Richardson extrapolation on it is Romberg
 integration.
 """
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
-import scipy.fft
+from scipy.linalg import matmul_toeplitz
 
 from .kernels import TwoSidedKernel
 
@@ -51,17 +51,8 @@ KernelLike = Union[TwoSidedKernel, Callable[[float, float], float]]
 class OperatorGrid:
     """Midpoint Nystrom discretization A[i][j] = K(t_i, t_j)/n.
 
-    A Toeplitz grid keeps its first column and row, and `spectrum`, the real
-    FFT of the circulant that embeds it (the column, then the row reversed
-    without its first entry), computed on the first matvec, so a grid that
-    is never multiplied skips the transform.  A matvec is then one rfft of v
-    zero-padded to p = 2n-1, a product with the spectrum and one irfft, cut
-    back to n entries.  The transforms are
-    `scipy.fft`'s and p stays 2n-1, the library and the length
-    `scipy.linalg.matmul_toeplitz` uses, so the product is bit for bit
-    scipy's, on which every pinned radius rests.  A fast length such as 2n
-    would be cheaper, but it moves those last bits, and so can `numpy.fft`,
-    a separate FFT build whose rounding has changed between numpy versions.
+    A Toeplitz grid keeps its first column and row and multiplies with
+    `scipy.linalg.matmul_toeplitz`; any other grid keeps its dense matrix.
     """
 
     n: int
@@ -70,7 +61,6 @@ class OperatorGrid:
     matrix: Optional[np.ndarray] = None
     kernel_min: float = 0.0              # min/max of n*A = sampled kernel values
     kernel_max: float = 0.0
-    spectrum: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.toeplitz is not None:
@@ -81,11 +71,7 @@ class OperatorGrid:
     def matvec(self, v: np.ndarray) -> np.ndarray:
         if self.toeplitz is None:
             return self.matrix @ v
-        if self.spectrum is None:
-            col, row = self.toeplitz
-            self.spectrum = scipy.fft.rfft(np.concatenate((col, row[-1:0:-1])))
-        p = 2 * self.n - 1
-        return scipy.fft.irfft(self.spectrum * scipy.fft.rfft(v, n=p), n=p)[:self.n]
+        return matmul_toeplitz(self.toeplitz, v)
 
     @property
     def hopf_rate(self) -> Optional[float]:
@@ -236,57 +222,52 @@ def _perron_eigenvalue(grid: OperatorGrid, log_rho: float) -> float:
     return float(np.sum(side * np.exp(-abs(log_rho) * np.arange(grid.n) / grid.n)))
 
 
-def radius_refined(kernel: KernelLike, tol: float = 1e-6) -> RadiusResult:
-    """Grid-doubling radius with Richardson extrapolation.
+def radius_refined(kernel: TwoSidedKernel, tol: float = 1e-6) -> RadiusResult:
+    """Radius of a two-sided kernel, by lam:
 
-    Takes a radius on grids of REFINE_N0, 2*REFINE_N0, ... points and
-    extrapolates it assuming an error expansion in powers of 1/n (orders 1,
-    2, ... eliminated in turn, one more per level).  Stops when two successive extrapolants agree
-    within tol; sets a warning flag when the REFINE_DOUBLINGS budget runs
-    out.  `tol` must be finite and > 0.  The result keeps the finest grid's
-    n, bracket, brackets and iterations but no eigenvector (`eigvec` is
-    None): its radius is the extrapolant, not that grid's eigenvalue.  Run
-    `power_iteration_hopf` on a grid for one.
+    - lam = 1/2: the kernel is convolution type and its radius is
+      lam * integral(Ktilde) over [0, 1], returned without a grid.
+    - lam in {0, 1}: one branch vanishes, so the operator is Volterra, hence
+      quasi-nilpotent: radius 0.0, converged, without a grid.
+    - 0 < lam < 1 otherwise: conjugating by rho^t, rho = (1-lam)/lam, turns
+      the midpoint grid into a circulant, so rho^(t_i) is the grid's Perron
+      vector and its radius is
 
-    A two-sided kernel at lam = 1/2 is convolution type: its radius is
-    lam * integral(Ktilde) over [0, 1], returned without a grid.  For any
-    other two-sided kernel with 0 < lam < 1, conjugating by rho^t,
-    rho = (1-lam)/lam, turns the midpoint grid into a circulant, so rho^(t_i)
-    is the grid's Perron vector and its radius is
+          mu_n = sum_(e<n) row_e rho^(e/n),    row_e = lam * Ktilde(e/n) / n,
 
-        mu_n = sum_(e<n) row_e rho^(e/n),    row_e = lam * Ktilde(e/n) / n,
+      the left Riemann sum of the exact radius lam * int_0^1 Ktilde(s) rho^s ds
+      (see `_perron_eigenvalue`).  mu_n is taken on grids of REFINE_N0,
+      2*REFINE_N0, ... points and extrapolated assuming an error expansion
+      in powers of 1/n (orders 1, 2, ... eliminated in turn, one more per
+      level), which is Romberg integration of that integral.  It stops when
+      two successive extrapolants agree within tol and sets a warning flag
+      when the REFINE_DOUBLINGS budget runs out.  The result keeps the
+      finest grid's n and its bracket (mu_n, mu_n), with 0 iterations and no
+      eigenvector: its radius is the extrapolant, not that grid's
+      eigenvalue.  Run `power_iteration_hopf` on a grid for one.
 
-    the left Riemann sum of the exact radius lam * int_0^1 Ktilde(s) rho^s ds.
-    Each level takes mu_n off the grid's Toeplitz vectors (see
-    `_perron_eigenvalue`) with no FFT and no iteration, reporting bracket (mu_n, mu_n) and 0 iterations, so the
-    schedule is Romberg integration of that integral.  Any other kernel runs
-    the Hopf iteration from ones (to tol/100, at most 10*n steps) on each
-    grid; the one-sided grids at lam = 0 and 1 are triangular and take no
-    step.
+    `tol` must be finite and > 0; lam outside [0, 1] raises
+    InvalidKernelError, as one branch of the kernel is then negative.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be a finite number > 0")
-    if isinstance(kernel, TwoSidedKernel) and kernel.lam == 0.5:
-        r = float(kernel.reduced.integral01() * kernel.lam)
+    lam = kernel.lam
+    if not 0 <= lam <= 1:
+        raise InvalidKernelError(f"lam = {lam} outside [0, 1] gives a negative kernel branch")
+    if lam == 0.5:
+        r = float(kernel.reduced.integral01() * lam)
         return RadiusResult(radius=r, bracket=(r, r), iterations=0)
-    log_rho = None
-    if isinstance(kernel, TwoSidedKernel) and 0 < kernel.lam < 1:
-        lam = float(kernel.lam)
-        if 0.0 < lam < 1.0:
-            log_rho = math.log1p(-lam) - math.log(lam)
-        else:       # an exact lam = n/d that rounds to 0 or 1 as a float
-            num, den = kernel.lam.numerator, kernel.lam.denominator
-            log_rho = math.log(den - num) - math.log(num)
+    if lam == 0 or lam == 1:
+        return RadiusResult(radius=0.0, bracket=(0.0, 0.0), iterations=0)
+    if 0.0 < float(lam) < 1.0:
+        log_rho = math.log1p(-float(lam)) - math.log(float(lam))
+    else:       # an exact lam = n/d that rounds to 0 or 1 as a float
+        log_rho = math.log(lam.denominator - lam.numerator) - math.log(lam.numerator)
     values, last = [], None
     for level in range(REFINE_DOUBLINGS + 1):
         n = REFINE_N0 * (1 << level)
-        grid = discretize(kernel, n)
-        if log_rho is None:
-            result = power_iteration_hopf(grid, tol=tol * 1e-2, max_iter=10 * n)
-        else:
-            mu = _perron_eigenvalue(grid, log_rho)
-            result = RadiusResult(radius=mu, bracket=(mu, mu), iterations=0, n=n)
-        values.append(result.radius)
+        mu = _perron_eigenvalue(discretize(kernel, n), log_rho)
+        values.append(mu)
         # Richardson table along the diagonal
         row = list(values)
         for order in range(1, len(values)):
@@ -296,8 +277,6 @@ def radius_refined(kernel: KernelLike, tol: float = 1e-6) -> RadiusResult:
         last = row[0]
         if converged:
             break
-    return RadiusResult(radius=last, bracket=result.bracket,
-                        iterations=result.iterations, converged=converged,
+    return RadiusResult(radius=last, bracket=(mu, mu), iterations=0, converged=converged,
                         warning=None if converged else
-                        "doubling budget exhausted before extrapolants settled",
-                        brackets=result.brackets, n=result.n)
+                        "doubling budget exhausted before extrapolants settled", n=n)

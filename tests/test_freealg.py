@@ -164,6 +164,17 @@ class TestAscentCounts:
             # reversal: Theta_ab(lam) = Theta_ba(1 - lam)
             assert counts == rows[k - a][::-1]
 
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_rows_match_the_permutation_count(self, k):
+        # the k! enumeration the recursive build replaces: the marker a+1/2
+        # ascends into s exactly when s(1) > a
+        want = [[0] * (k + 1) for _ in range(k + 1)]
+        for s in permutations(range(1, k + 1)):
+            asc = _asc_des(s)[0]
+            for a in range(k + 1):
+                want[a][asc + (s[0] > a)] += 1
+        assert ascent_rows(k) == tuple(map(tuple, want))
+
     def test_eulerian_numbers_and_outer_markers(self):
         # marker 1/2 ascends into every word, marker 8 + 1/2 descends, so the
         # outer markers shift the Eulerian row of S_8 by one ascent or none

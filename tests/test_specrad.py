@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.fft
 from scipy.linalg import matmul_toeplitz
 
 from magrad import specrad
@@ -94,26 +93,21 @@ class TestToeplitzMatvec:
         ("plain", 0, "331/1009"), ("plain", 2, "331/1009"),
         ("plain", 7, "331/1009"), ("1", 3, "1/7"), ("2", 3, "1/7")])
     def test_equals_scipy_bit_for_bit(self, q, pm1, lam, n):
+        # the product is scipy's, on whose bits `magrad radius` rests, and it
+        # agrees with the direct sum over the Toeplitz diagonals h[i-j],
+        # h = (row reversed, col), to 1e-13 of the sum of |terms|;
         # q = 2 kernels carry a float lam
         two = reduced_kernel(pm1, Fraction(lam), CLASSES[q]).two_sided()
         g = discretize(two, n)
+        col, row = g.toeplitz
+        h = np.concatenate((row[:0:-1], col))
         rng = np.random.default_rng(n + 10 * pm1)
         for v in (np.ones(n), rng.uniform(0.0, 1.0, n), rng.standard_normal(n)):
-            assert np.array_equal(g.matvec(v), matmul_toeplitz(g.toeplitz, v))
-
-    def test_one_forward_fft_per_matvec(self, monkeypatch):
-        # the spectrum is built on the first matvec, then reused
-        g = discretize(plain_reduced_kernel(2, Fraction(2, 7)).two_sided(), 256)
-        assert g.spectrum is None
-        calls = []
-        rfft = scipy.fft.rfft
-        monkeypatch.setattr(scipy.fft, "rfft",
-                            lambda *a, **kw: calls.append(1) or rfft(*a, **kw))
-        v = np.ones(g.n)
-        for k in range(5):
-            v = g.matvec(v)
-            assert len(calls) == k + 2
-        assert g.spectrum is not None
+            got = g.matvec(v)
+            assert np.array_equal(got, matmul_toeplitz(g.toeplitz, v))
+            want = np.convolve(h, v)[n - 1:2 * n - 1]
+            scale = np.convolve(np.abs(h), np.abs(v))[n - 1:2 * n - 1]
+            assert (np.abs(got - want) <= 1e-13 * scale).all()
 
     def test_non_finite_sample_rejected(self):
         nodes = (np.arange(2) + 0.5) / 2
@@ -239,11 +233,27 @@ class TestRadiusRefined:
 
     @pytest.mark.parametrize("pm1", [0, 2, 4])
     @pytest.mark.parametrize("lam", ["0", "1"])
-    def test_one_sided_kernel_has_radius_zero(self, pm1, lam):
-        # triangular grids at every level: the diagonal entries K(0)/n
-        # extrapolate to the true radius 0
-        res = radius_refined(plain_reduced_kernel(pm1, Fraction(lam)).two_sided())
-        assert (res.radius, res.converged, res.iterations) == (0.0, True, 0)
+    def test_one_sided_kernel_has_radius_zero(self, monkeypatch, pm1, lam):
+        # one branch vanishes, so the operator is Volterra: radius 0 without
+        # a grid, also for q = 2, whose kernels carry a float lam
+        def no_grid(kernel, n):
+            raise AssertionError("a Volterra kernel needs no grid")
+
+        monkeypatch.setattr(specrad, "discretize", no_grid)
+        for q, cls in CLASSES.items():
+            res = radius_refined(reduced_kernel(pm1, Fraction(lam), cls).two_sided())
+            assert (res.radius, res.bracket, res.converged, res.iterations) == (
+                0.0, (0.0, 0.0), True, 0), q
+
+    @pytest.mark.parametrize("q", ["plain", "1", "2"])
+    @pytest.mark.parametrize("lam", ["-1/3", "5/2"])
+    def test_lambda_outside_unit_interval_rejected(self, monkeypatch, q, lam):
+        # one branch of the kernel is negative there; the grid would say so
+        # too, but the check comes first
+        monkeypatch.setattr(specrad, "discretize", None)
+        two = reduced_kernel(2, Fraction(lam), CLASSES[q]).two_sided()
+        with pytest.raises(InvalidKernelError, match=r"outside \[0, 1\]"):
+            radius_refined(two)
 
     def test_budget_exhaustion_flag(self, monkeypatch):
         monkeypatch.setattr(specrad, "REFINE_N0", 32)
@@ -377,15 +387,14 @@ class TestPerronStart:
             assert abs(old.radius - value) <= tol / 100, grid.n
 
     @pytest.mark.parametrize("lam", ["1/7", "331/1009", "7/10"])
-    def test_no_matvec_and_no_spectrum(self, monkeypatch, lam):
+    def test_no_matvec(self, monkeypatch, lam):
         def no_step(self, v):
             raise AssertionError("the level value needs no matvec")
 
         monkeypatch.setattr(OperatorGrid, "matvec", no_step)
         two = plain_reduced_kernel(4, Fraction(lam)).two_sided()
-        res, levels = self._levels(monkeypatch, two)
+        res, _ = self._levels(monkeypatch, two)
         assert res.converged
-        assert all(grid.spectrum is None for grid, _ in levels)
 
     @pytest.mark.parametrize("lam", [1e-12, 1e-30, 1e-100, 1 - 1e-12])
     def test_extreme_lambda_converges(self, lam):
