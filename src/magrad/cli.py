@@ -137,8 +137,8 @@ def cmd_kernel(args) -> int:
     rk = kernels.reduced_kernel(args.p_minus_1, args.lam, args.q)
     rows = kernels.kernel_csv_rows(rk, samples=args.samples)
     _emit({"p_minus_1": rk.p_minus_1, "lam": str(args.lam),
-           "q": args.q.describe(), "exact": rk.exact,
-           "coeffs": [str(c) if rk.exact else float(c) for c in rk.coeffs]},
+           "q": args.q.describe(), "exact": args.q.exact,
+           "coeffs": [str(c) if args.q.exact else float(c) for c in rk.coeffs]},
           args, csv_rows=rows, csv_header=("t", "ktilde"))
     return 0
 

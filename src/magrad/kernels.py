@@ -13,7 +13,11 @@ genuinely jumps at 0, which is why t = 0 is assigned to the lam branch and
 the quadrature in `specrad` samples cell midpoints only.
 
 Every class expands the Bernstein coefficients C(p-1,a) * Theta_ab into
-powers of t through one cached integer table.  In the plain (ell^1) case
+powers of t through one cached integer table, exactly.  An enclosed kappa
+(q = 2) is priced at the top of its enclosure, kappa_hi: each Theta_ab is
+nondecreasing in kappa, each C(p-1,a) * Theta_ab is >= 0, and the spectral
+radius of a nonnegative kernel grows with the kernel, so the radius errs
+only upward.  In the plain (ell^1) case
 every Theta_ab is an integer numerator over the one denominator
 (p-1)! * d^(p-1) at lam = n/d (`umqnorm.plain_theta_numerators`), so the
 table acts on integers and each coefficient costs one Fraction.  The plain
@@ -25,18 +29,15 @@ divided out symbolically first, so lam = 1/2 needs no special casing).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Union
 
 import numpy as np
 
 from .series import horner, series_div, series_exp_linear
 from .umqnorm import PLAIN, ConvexityClass, plain_theta_numerators, theta_ab
-
-Number = Union[Fraction, float]
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,7 +45,7 @@ class ReducedKernel:
     """One-variable kernel polynomial on [0, 1] plus its two-sided assembly."""
 
     coeffs: tuple          # t-polynomial, lowest power first
-    lam: Number
+    lam: Fraction
     p_minus_1: int
 
     @property
@@ -117,31 +118,26 @@ def _bernstein_to_monomial(k: int) -> tuple:
 def reduced_kernel(p_minus_1: int, lam, cls: ConvexityClass) -> ReducedKernel:
     """Assemble the reduced kernel from the universal-norm Theta_ab values.
 
-    Exact rational coefficients when lam is rational and the class cost is
-    exact (plain or q=1); otherwise float coefficients built from enclosure
-    midpoints (enclosure widths are ~1e-25, far below every numeric
-    tolerance used downstream).  The degree caps are those of the Theta
-    sources: DEFAULT_MAX_DEGREE for plain, EXHAUSTIVE_CAP through the LP.
+    Exact rational coefficients for every class, an enclosed kappa priced
+    at kappa_hi alone.  The degree caps are those of the Theta sources:
+    DEFAULT_MAX_DEGREE for plain, EXHAUSTIVE_CAP through the LP.
     """
     if p_minus_1 < 0:
         raise ValueError("p-1 must be >= 0")
-    if p_minus_1 == 0:
-        return ReducedKernel(coeffs=(Fraction(1),), lam=lam, p_minus_1=0)
     lamf = Fraction(lam)
+    if p_minus_1 == 0:
+        return ReducedKernel(coeffs=(Fraction(1),), lam=lamf, p_minus_1=0)
     if cls.is_plain:
         thetas, den = plain_theta_numerators(p_minus_1, lamf)
-        den = Fraction(den)
     else:
-        norms = (theta_ab(a, p_minus_1 - a, lamf, cls) for a in range(p_minus_1 + 1))
-        thetas, den = [tv.value if cls.exact else tv.mid for tv in norms], 1
-    # Theta is scaled by C(k,a) before the signed weights C(a,i)(-1)^i, so a
-    # float Theta (q = 2 midpoint) rounds as in the per-a expansion
-    # (Theta*C(k,a))*C(a,i); the sign flip is exact
+        top = replace(cls, kappa_lo=cls.kappa_hi)
+        thetas = [theta_ab(a, p_minus_1 - a, lamf, top).value
+                  for a in range(p_minus_1 + 1)]
+        den = 1
     bern = [theta * comb(p_minus_1, a) for a, theta in enumerate(thetas)]
-    coeffs = tuple(sum(w * bern[a] for a, w in row) / den
+    coeffs = tuple(Fraction(sum(w * bern[a] for a, w in row), den)
                    for row in _bernstein_to_monomial(p_minus_1))
-    return ReducedKernel(coeffs=coeffs, lam=lamf if cls.exact else float(lamf),
-                         p_minus_1=p_minus_1)
+    return ReducedKernel(coeffs=coeffs, lam=lamf, p_minus_1=p_minus_1)
 
 
 # ---------------------------------------------------------------------------

@@ -342,8 +342,7 @@ def crude_ratio_bound(lam, p: int, cls: ConvexityClass) -> BoundReport:
 
 def maglower_floor(cls: ConvexityClass) -> float:
     """The uniform crude floor 2/(3/4 + kappa/4)^(1/5) for the degree-4 gain."""
-    kappa = cls.kappa_float
-    return 2.0 / (0.75 + 0.25 * kappa) ** (1.0 / 5)
+    return 2.0 / (0.75 + 0.25 * float(cls.kappa_hi)) ** (1.0 / 5)
 
 
 def upper_trivial(cls: ConvexityClass, variant: str = "cayley",

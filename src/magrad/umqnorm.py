@@ -105,10 +105,6 @@ class ConvexityClass:
     def is_plain(self) -> bool:
         return self.kappa_hi == 1
 
-    @property
-    def kappa_float(self) -> float:
-        return (float(self.kappa_lo) + float(self.kappa_hi)) / 2
-
     def describe(self) -> str:
         return "plain" if self.is_plain else f"q={self.q}"
 

@@ -203,7 +203,7 @@ class TestGain:
         g = bch_gain_upper(0.3587, Q2, 1.449, 1.449)
         assert g.aligned and g.gain > 0
         assert g.bound < g.l1_cubed
-        kappa = Q2.kappa_float
+        kappa = float(Q2.kappa_hi)
         lam = 0.3587
         want = 4 * (lam - 0.5) ** 2 * (1 - kappa) * (lam * (1 - lam)) ** 3 \
             * 2 * 1.449 ** 8

@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from magrad import magnus, specrad
@@ -42,6 +43,12 @@ class TestTheta:
     def test_requires_k_or_ab(self, capsys):
         code = main(["theta"])
         assert code == 2
+
+    def test_lambda_must_be_rational(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["theta", "--k", "2", "--lambda", "abc"])
+        assert exc.value.code == 2
+        assert "not a rational: 'abc'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_out_file_takes_every_format(self, tmp_path, capsys, fmt):
@@ -145,6 +152,20 @@ class TestKernelRadius:
         assert code == 0
         lo, hi = data["bracket"]
         assert lo <= data["radius"] <= hi and data["n"] == 256
+
+    def test_radius_writes_the_eigenvector(self, tmp_path, capsys):
+        # one (t, v) row per grid node; for p-1 = 0 the Perron vector is
+        # rho^t, rho = (1-lam)/lam, to criterion 05's 1e-4
+        path = tmp_path / "v.csv"
+        code, _ = run(capsys, "radius", "--p-minus-1", "0", "--lambda", "1/3",
+                      "--n", "256", "--eigvec-out", str(path))
+        lines = path.read_text().splitlines()
+        assert code == 0 and lines[0] == "t,v" and len(lines) == 257
+        t, v = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]]).T
+        nodes = (np.arange(256) + 0.5) / 256
+        assert t.tolist() == [float(f"{x:.12g}") for x in nodes]
+        f = 2.0 ** nodes                # rho = 2 at lam = 1/3
+        assert np.abs(v / v.max() - f / f.max()).max() <= 1e-4
 
     def test_radius_of_triangular_grid(self, capsys):
         # one branch of the kernel vanishes at lam = 0 and 1

@@ -1,4 +1,6 @@
-"""`src/` imports only the standard library and the declared dependencies."""
+"""`src/` imports only the standard library and the declared dependencies,
+and raises on a broken invariant instead of asserting it (`python -O`
+strips every `assert`)."""
 
 import ast
 import os
@@ -27,6 +29,22 @@ def test_imports_are_declared(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     undeclared = sorted(set(imported_roots(tree)) - ALLOWED)
     assert not undeclared, f"{path.name} imports {undeclared}"
+
+
+def assert_lines(tree: ast.AST) -> list:
+    """Line numbers of every `assert` statement in the tree."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert not assert_lines(tree), f"{path.name} asserts on lines {assert_lines(tree)}"
+
+
+def test_assert_statement_is_caught():
+    tree = ast.parse("def f(x):\n    assert x > 0\n    raise AssertionError(x)\n")
+    assert assert_lines(tree) == [2]
 
 
 def test_undeclared_import_is_caught():

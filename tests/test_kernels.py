@@ -7,6 +7,7 @@ from math import comb, factorial
 
 import pytest
 
+from magrad import umqnorm
 from magrad.freealg import ascent_rows, mu_ab
 from magrad.kernels import (
     ReducedKernel,
@@ -20,6 +21,7 @@ from magrad.kernels import (
 )
 from magrad.magnus import euler_coeffs, scan_rows
 from magrad.series import series_div
+from magrad.simplex import simplex_min
 from magrad.umqnorm import PLAIN, ConvexityClass, theta_ab, theta_k
 
 Q1 = ConvexityClass.from_q(1)
@@ -137,6 +139,18 @@ class TestReducedKernel:
         assert rk.integral01() == 2
         assert rk.max01() == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("coeffs,want", [
+        ((0, 1, -1), 0.25),                                    # t(1-t)
+        ((0, 0, 1, -1), 4 / 27),                               # t^2(1-t)
+        ((Fraction(-1, 16), HALF, Fraction(-3, 2), 2, -1), 0.0),  # -(t-1/2)^4
+    ])
+    def test_max_at_an_interior_root(self, coeffs, want):
+        # each peaks inside (0, 1), the last at a triple critical point
+        rk = ReducedKernel(coeffs=tuple(map(Fraction, coeffs)), lam=HALF,
+                           p_minus_1=len(coeffs) - 1)
+        assert rk.max01() == pytest.approx(want, rel=1e-12, abs=1e-15)
+        assert rk.max01() > max(rk(0.0), rk(1.0))
+
     def test_csv_rows(self):
         rows = kernel_csv_rows(reduced_kernel(2, HALF, PLAIN), samples=5)
         assert len(rows) == 5 and rows[0][0] == 0.0 and rows[-1][0] == 1.0
@@ -170,12 +184,32 @@ class TestPlainKernelAssembly:
 
     @pytest.mark.parametrize("lam", [Fraction(1, 3), Fraction(2, 7), HALF])
     def test_q_classes_keep_the_per_a_expansion(self, lam):
-        for k in range(5):
-            want = expand_per_a(k, lambda a: theta_ab(a, k - a, lam, Q1).value)
-            assert reduced_kernel(k, lam, Q1).coeffs == want
-            got = reduced_kernel(k, lam, Q2).coeffs
-            want = expand_per_a(k, lambda a: theta_ab(a, k - a, lam, Q2).mid)
-            assert [float(c).hex() for c in got] == [float(c).hex() for c in want]
+        # an enclosed kappa is priced at the top of its enclosure, so the
+        # kernel is the exact expansion of every enclosure's upper end
+        for cls in (Q1, Q2, ConvexityClass.from_q(Fraction(3, 2)),
+                    ConvexityClass.from_q(8)):
+            for k in range(5):
+                want = expand_per_a(k, lambda a: theta_ab(a, k - a, lam, cls).hi)
+                got = reduced_kernel(k, lam, cls)
+                assert got.coeffs == want, (cls.q, k)
+                assert all(type(c) is Fraction for c in got.coeffs)
+                assert got.lam == lam
+
+    def test_enclosed_kappa_solves_one_lp_per_theta(self, monkeypatch):
+        # a cold q = 2 kernel of degree k solves k+1 LPs, not one per
+        # kappa endpoint
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return simplex_min(*args)
+
+        monkeypatch.setattr(umqnorm, "simplex_min", counting)
+        lam = Fraction(17, 389)         # used by no other test: a cold cache
+        for k in range(1, 5):
+            calls.clear()
+            reduced_kernel(k, lam, Q2)
+            assert len(calls) == k + 1, k
 
     def test_scan_reads_integer_tables_only(self):
         # a plain scan builds each degree's tables once (the ascent rows of

@@ -250,7 +250,7 @@ class TestLogBound:
 class TestCrudeRoutes:
     def test_ratio_bound_at_center(self):
         for cls in (Q1, Q2):
-            kappa = cls.kappa_float
+            kappa = float(cls.kappa_hi)
             want = 2.0 / (2 / 3 + kappa / 3) ** 0.2
             got = crude_ratio_bound(Fraction(1, 2), 5, cls).lower
             assert got == pytest.approx(want, rel=1e-9)

@@ -1,12 +1,17 @@
 """The one-phase sparse exact simplex: unit-column start, duals and certificates."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
+from magrad import simplex
+from magrad.freealg import eval_lambda, mu_ab
 from magrad.simplex import SimplexError, simplex_min, verify_certificate
+from magrad.umqnorm import ConvexityClass, fa_norm_exact
 
 F = Fraction
+Q1 = ConvexityClass.from_q(1)
 
 
 class TestSimplexMin:
@@ -48,3 +53,17 @@ class TestSimplexMin:
         n = 1 + max(j for row in A for j in row)
         with pytest.raises(SimplexError):
             simplex_min(A, b, [1] * n)
+
+
+class TestBlandRule:
+    # Theta_ab(1/3) as Dantzig's rule solves them (tests/test_cli.py reads
+    # 23/486 through `magrad theta`)
+    @pytest.mark.parametrize("a,b,want", [(2, 2, F(23, 486)), (1, 4, F(11, 729))])
+    def test_bland_from_the_start_reaches_dantzigs_optimum(self, monkeypatch,
+                                                           a, b, want):
+        # with no degenerate pivot tolerated every entering column is
+        # chosen by Bland's rule; fa_norm_exact raises unless the
+        # certificate verifies
+        monkeypatch.setattr(simplex, "_BLAND_AFTER", 0)
+        target = eval_lambda(mu_ab(a, b), F(1, 3))
+        assert fa_norm_exact(target, Q1).value / factorial(a + b) == want

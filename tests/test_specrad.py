@@ -64,6 +64,13 @@ class TestDiscretize:
         with pytest.raises(InvalidKernelError):
             discretize(lambda s, t: s - t, 8)
 
+    def test_roundoff_negatives_clamped_to_zero(self):
+        # a negative sample within 1e-12 of the scale is cancellation noise
+        vals = specrad._clamp_roundoff(np.array([1.0, -1e-18, 0.5]))
+        assert vals.tolist() == [1.0, 0.0, 0.5] and not np.signbit(vals).any()
+        g = discretize(lambda s, t: -1e-18 if s == t else 1.0, 4)
+        assert g.matrix.diagonal().tolist() == [0.0] * 4 and g.kernel_min == 0.0
+
     def test_needs_two_nodes(self):
         with pytest.raises(InvalidUseError):
             discretize(lambda s, t: 1.0, 1)
@@ -95,8 +102,7 @@ class TestToeplitzMatvec:
     def test_equals_scipy_bit_for_bit(self, q, pm1, lam, n):
         # the product is scipy's, on whose bits `magrad radius` rests, and it
         # agrees with the direct sum over the Toeplitz diagonals h[i-j],
-        # h = (row reversed, col), to 1e-13 of the sum of |terms|;
-        # q = 2 kernels carry a float lam
+        # h = (row reversed, col), to 1e-13 of the sum of |terms|
         two = reduced_kernel(pm1, Fraction(lam), CLASSES[q]).two_sided()
         g = discretize(two, n)
         col, row = g.toeplitz
@@ -235,7 +241,7 @@ class TestRadiusRefined:
     @pytest.mark.parametrize("lam", ["0", "1"])
     def test_one_sided_kernel_has_radius_zero(self, monkeypatch, pm1, lam):
         # one branch vanishes, so the operator is Volterra: radius 0 without
-        # a grid, also for q = 2, whose kernels carry a float lam
+        # a grid, for every class
         def no_grid(kernel, n):
             raise AssertionError("a Volterra kernel needs no grid")
 
@@ -481,8 +487,8 @@ class TestPinnedBits:
 
     The digest is the first 16 hex digits of the sha256 of both Toeplitz
     vectors and kernel_min/kernel_max at n = 2, 3, 256 and 4096; the radius
-    is `radius_refined(...).radius` as float.hex.  q = 2 kernels carry a
-    float lam.
+    is `radius_refined(...).radius` as float.hex.  Below degree 4 no LP
+    column has a Xi node, so the q = 2 cases equal the q = 1 ones.
     """
 
     # (class, p-1, lam, grid digest, refined radius)
@@ -501,8 +507,8 @@ class TestPinnedBits:
         ("plain", 7, "331/1009", "5364a06f75159c68", "0x1.6f0c5432e30e3p-9"),
         ("1", 3, "1/7", "683b1bdde4b6d812", "0x1.9dcc6db12cbfdp-6"),
         ("1", 3, "331/1009", "248a1cb958fe439e", "0x1.b181e45b973ecp-5"),
-        ("2", 3, "1/7", "12865edf19e88271", "0x1.9dcc6db12cbfep-6"),
-        ("2", 3, "331/1009", "25864260769ac7ea", "0x1.b181e45b973ebp-5"),
+        ("2", 3, "1/7", "683b1bdde4b6d812", "0x1.9dcc6db12cbfdp-6"),
+        ("2", 3, "331/1009", "248a1cb958fe439e", "0x1.b181e45b973ecp-5"),
     ]
 
     @staticmethod
