@@ -10,9 +10,10 @@ Trial t of seed s draws its four matrices and its vector, in that order,
 from the counter-based stream of Philox(key=(s << 20) + t), so runs are
 deterministic per seed regardless of execution order.  A check takes
 0 <= s < 2**108 and at most 2**20 trials, which keeps keys distinct across
-seeds and below Philox's 2**128.  Trials run in blocks of _BLOCK: each
-block's draws fill one row per trial of a buffer, and the products, norms
-and ratios are stacked numpy passes over the block.  Every scalar pow of
+seeds and below Philox's 2**128.  Trials run in blocks of _BLOCK = 256:
+each block's draws fill one row per trial of a buffer, and the products,
+norms and ratios are stacked numpy passes over the block, one norm-bound
+pass for all four matrices of every trial.  Every scalar pow of
 the one-trial-at-a-time arithmetic goes through libm (`series.float_pow`),
 so each trial's ratio is bit for bit the one a per-trial loop gives.
 """
@@ -26,8 +27,8 @@ import numpy as np
 
 from .series import float_pow
 
-#: trials per stacked numpy pass; a block's draws of n = 8 take ~68 KB
-_BLOCK = 32
+#: trials per stacked numpy pass; a block's draws of n = 8 take ~540 KB
+_BLOCK = 256
 #: trial keys are (seed << 20) + t, so more trials would reach seed + 1's
 _MAX_TRIALS = 1 << 20
 _U64 = (1 << 64) - 1
@@ -153,8 +154,8 @@ def check_umd_sampled(space: LpSpace, trials: int, seed: int = 0) -> SampleRepor
         X, Y, Z, W = mats.transpose(1, 0, 2, 3)
         M = (X @ Z + Y @ Z + X @ W - Y @ W) / 4.0
         r = space.q_prime
-        return M, scale * _mean_power(_opnorm_upper(X), _opnorm_upper(Y), r) \
-            * _mean_power(_opnorm_upper(Z), _opnorm_upper(W), r)
+        nx, ny, nz, nw = _opnorm_upper(mats).T
+        return M, scale * _mean_power(nx, ny, r) * _mean_power(nz, nw, r)
     return _sample(space, trials, seed, draw)
 
 
@@ -168,7 +169,7 @@ def check_umq_sampled(space: LpSpace, trials: int, seed: int = 0) -> SampleRepor
         S1, S2, S3, S4 = mats.transpose(1, 0, 2, 3)
         P, Q = S1 @ S2, S2 @ S1
         M = (P @ S3 @ S4 + Q @ S3 @ S4 + P @ S4 @ S3 - Q @ S4 @ S3) / 4.0
-        for S in (S1, S2, S3, S4):
-            scale *= _opnorm_upper(S)
+        for norm in _opnorm_upper(mats).T:
+            scale *= norm
         return M, scale
     return _sample(space, trials, seed, draw)

@@ -29,7 +29,7 @@ divided out symbolically first, so lam = 1/2 needs no special casing).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -47,6 +47,11 @@ class ReducedKernel:
     coeffs: tuple          # t-polynomial, lowest power first
     lam: Fraction
     p_minus_1: int
+    fcoeffs: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # the float coefficients every non-Fraction evaluation reads
+        object.__setattr__(self, "fcoeffs", tuple(float(c) for c in self.coeffs))
 
     @property
     def exact(self) -> bool:
@@ -54,7 +59,7 @@ class ReducedKernel:
         return all(isinstance(c, Fraction) for c in self.coeffs)
 
     def __call__(self, t):
-        return horner(self.coeffs, t)
+        return horner(self.coeffs if isinstance(t, Fraction) else self.fcoeffs, t)
 
     def integral01(self):
         """Integral over [0, 1] (the convolution-type spectral radius)."""
@@ -62,7 +67,7 @@ class ReducedKernel:
 
     def max01(self) -> float:
         """Maximum over [0, 1] via the derivative's real roots."""
-        cs = [float(c) for c in self.coeffs]
+        cs = self.fcoeffs
         cand = [0.0, 1.0]
         if len(cs) > 1:
             dp = [i * cs[i] for i in range(1, len(cs))]
@@ -78,7 +83,11 @@ class ReducedKernel:
 
 @dataclass(frozen=True)
 class TwoSidedKernel:
-    """Toeplitz kernel K(t0, tp) = K(tp - t0) assembled from a reduced kernel."""
+    """Toeplitz kernel K(t0, tp) = K(tp - t0) assembled from a reduced kernel.
+
+    Called on one point t in [-1, 1]; `specrad.discretize` samples whole
+    Toeplitz vectors from `reduced` directly, bit for bit as these calls.
+    """
 
     reduced: ReducedKernel
 
@@ -87,16 +96,6 @@ class TwoSidedKernel:
         return self.reduced.lam
 
     def __call__(self, t):
-        """K(t); a float ndarray t elementwise, each branch evaluated only
-        where it applies, bit for bit as the scalar branches (Fraction *
-        float is float(lam) * x: float(1 - lam) below)."""
-        if isinstance(t, np.ndarray):
-            out = np.empty(t.shape)
-            upper = t >= 0
-            out[upper] = float(self.lam) * self.reduced(t[upper])
-            lower = ~upper
-            out[lower] = float(1 - self.lam) * self.reduced(t[lower] + 1)
-            return out
         if t >= 0:          # t = 0 goes to the lam branch by convention
             return self.lam * self.reduced(t)
         return (1 - self.lam) * self.reduced(t + 1)

@@ -19,7 +19,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy.optimize import brentq
@@ -250,7 +250,7 @@ class BoundReport:
     q: str
     lower: Optional[float] = None
     upper: Optional[float] = None
-    lam: Optional[float] = None
+    lam: Optional[Union[float, str]] = None
     p: Optional[int] = None
     details: dict = field(default_factory=dict)
 
@@ -268,6 +268,13 @@ class BoundReport:
         if self.details:
             out["details"] = self.details
         return out
+
+
+def _report_lam(lam: Fraction) -> Union[float, str]:
+    """lam as a report prints it: its float, or the exact str(lam) when that
+    float is an end of [0, 1] that lam is not (10**-400 is no 0.0)."""
+    f = float(lam)
+    return str(lam) if f in (0.0, 1.0) and f != lam else f
 
 
 def _root_bound(w: float, p: int) -> float:
@@ -291,7 +298,7 @@ def c_bound_pth_root(lam, p: int, cls: ConvexityClass,
     lamF = Fraction(lam)
     r = _kernel_radius(p - 1, lamF, cls, tol=tol)
     return BoundReport(method="pth-root-kernel", q=cls.describe(),
-                       lam=float(lamF), p=p, lower=_root_bound(r, p),
+                       lam=_report_lam(lamF), p=p, lower=_root_bound(r, p),
                        details={"kernel_radius": r, "p_minus_1": p - 1})
 
 
@@ -368,7 +375,7 @@ def sicompar_bound(lam, p: int, cls: ConvexityClass) -> BoundReport:
     lamF = Fraction(lam)
     rk = reduced_kernel(p - 1, lamF, cls)
     w_up = float(max(lamF, 1 - lamF)) * float(rk.integral01())
-    return BoundReport(method="sicompar", q=cls.describe(), lam=float(lamF), p=p,
+    return BoundReport(method="sicompar", q=cls.describe(), lam=_report_lam(lamF), p=p,
                        lower=_root_bound(w_up, p), details={"w_upper": w_up})
 
 

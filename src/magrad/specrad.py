@@ -17,7 +17,11 @@ and its eigenvalue is mu_n = sum_e row_e rho^(e/n), read off the grid's
 Toeplitz vectors.  That is the left Riemann sum of
 lam * integral_0^1 Ktilde(s) rho^s ds, the kernel's exact radius, and the
 grid doubling schedule with Richardson extrapolation on it is Romberg
-integration.
+integration.  Its first grid, of 2*REFINE_N0 points, gives the first two
+levels, since its even entries are exactly the REFINE_N0-point grid's
+samples; each further level samples one doubled grid.  A two-sided
+kernel's grid takes both Toeplitz vectors from one Horner pass of its
+reduced kernel.
 """
 
 from __future__ import annotations
@@ -88,14 +92,19 @@ def discretize(kernel: KernelLike, n: int) -> OperatorGrid:
         raise InvalidUseError("need n >= 2")
     nodes = (np.arange(n) + 0.5) / n
     if isinstance(kernel, TwoSidedKernel):
-        # one array call for both Toeplitz vectors: the row at t >= 0, the
-        # column at t <= 0, whose first entry sits at t = -0.0 >= 0, as row[0]
+        # one Horner pass for both Toeplitz vectors: the row at t, the column
+        # below the diagonal at 1 - t; its first entry is the row's, as the
+        # diagonal t = 0 takes the lam branch
         t = nodes - nodes[0]
-        vals = kernel(np.concatenate((t, -t))) / n
+        k = kernel.reduced(np.concatenate((t, 1.0 - t[1:])))
+        vals = np.empty(2 * n)
+        vals[:n] = float(kernel.lam) * k[:n] / n
+        vals[n + 1:] = float(1 - kernel.lam) * k[n:] / n
+        vals[n] = vals[0]
         row, col = _clamp_roundoff(vals[:n]), _clamp_roundoff(vals[n:])
         return OperatorGrid(n=n, nodes=nodes, toeplitz=(col, row),
-                            kernel_min=float(min(row.min(), col.min())) * n,
-                            kernel_max=float(max(row.max(), col.max())) * n)
+                            kernel_min=float(vals.min()) * n,
+                            kernel_max=float(vals.max()) * n)
     A = np.empty((n, n))
     for i, t0 in enumerate(nodes):
         A[i, :] = [float(kernel(t0, tp)) for tp in nodes]
@@ -127,7 +136,8 @@ class RadiusResult:
 
 
 def _clamp_roundoff(vals: np.ndarray) -> np.ndarray:
-    """Zero out tiny negative samples from polynomial-expansion roundoff.
+    """Zero out tiny negative samples from polynomial-expansion roundoff,
+    in place.
 
     Genuinely negative kernels are rejected; magnitudes within 1e-12 of the
     sample scale are cancellation noise near kernel zeros.
@@ -138,7 +148,7 @@ def _clamp_roundoff(vals: np.ndarray) -> np.ndarray:
     scale = float(np.abs(vals).max())
     if -lo > 1e-12 * max(scale, 1e-300):
         raise InvalidKernelError(f"negative kernel sample {lo:g}")
-    return np.maximum(vals, 0.0)
+    return np.maximum(vals, 0.0, out=vals)
 
 
 def _widen(lo: float, hi: float) -> tuple:
@@ -208,18 +218,33 @@ REFINE_N0 = 256
 REFINE_DOUBLINGS = 5
 
 
-def _perron_eigenvalue(grid: OperatorGrid, log_rho: float) -> float:
-    """Eigenvalue of a two-sided kernel's Toeplitz grid whose Perron vector
-    is rho^(t_i), with log_rho = log rho.
+def _perron_levels(kernel: TwoSidedKernel, log_rho: float):
+    """Yield (n, mu_n) for n = REFINE_N0 * 2^level, level = 0, ...,
+    REFINE_DOUBLINGS, where mu_n is the eigenvalue of the n-point grid whose
+    Perron vector is rho^(t_i), with log_rho = log rho.
 
-    It is mu_n = sum_e row_e rho^(e/n), or equally row_0 + sum_(d>=1)
-    col_d rho^(-d/n), since col_d = rho * row_(n-d) for exact samples.  The
-    sum taken is the one whose weights are <= 1, so no weight overflows at
+    mu_n = sum_e row_e rho^(e/n), or equally row_0 + sum_(d>=1) col_d
+    rho^(-d/n), since col_d = rho * row_(n-d) for exact samples.  The sum
+    taken is the one whose weights are <= 1, so no weight overflows at
     extreme lam; col_0 = row_0 is the sample at t = 0.
+
+    The first grid has 2*REFINE_N0 points and serves two levels: for a
+    power-of-two REFINE_N0 its even nodes 2e/(2n) are exactly the nodes e/n
+    of the coarser grid, its even weights exp(-|log_rho| * 2e / (2n)) are
+    exactly the coarser ones, and twice its samples are exactly the coarser
+    samples, so mu_n comes out bit for bit as on its own grid.  Every
+    further level is one `discretize`.  With REFINE_DOUBLINGS = 0 the one
+    grid has REFINE_N0 points.
     """
-    col, row = grid.toeplitz
-    side = row if log_rho <= 0 else col
-    return float(np.sum(side * np.exp(-abs(log_rho) * np.arange(grid.n) / grid.n)))
+    n = 2 * REFINE_N0 if REFINE_DOUBLINGS else REFINE_N0
+    while n <= REFINE_N0 << REFINE_DOUBLINGS:
+        col, row = discretize(kernel, n).toeplitz
+        side = row if log_rho <= 0 else col
+        weights = np.exp(-abs(log_rho) * np.arange(n) / n)
+        if n == 2 * REFINE_N0:
+            yield REFINE_N0, float(np.sum(2.0 * side[::2] * weights[::2]))
+        yield n, float(np.sum(side * weights))
+        n *= 2
 
 
 def radius_refined(kernel: TwoSidedKernel, tol: float = 1e-6) -> RadiusResult:
@@ -236,15 +261,17 @@ def radius_refined(kernel: TwoSidedKernel, tol: float = 1e-6) -> RadiusResult:
           mu_n = sum_(e<n) row_e rho^(e/n),    row_e = lam * Ktilde(e/n) / n,
 
       the left Riemann sum of the exact radius lam * int_0^1 Ktilde(s) rho^s ds
-      (see `_perron_eigenvalue`).  mu_n is taken on grids of REFINE_N0,
-      2*REFINE_N0, ... points and extrapolated assuming an error expansion
-      in powers of 1/n (orders 1, 2, ... eliminated in turn, one more per
-      level), which is Romberg integration of that integral.  It stops when
-      two successive extrapolants agree within tol and sets a warning flag
-      when the REFINE_DOUBLINGS budget runs out.  The result keeps the
-      finest grid's n and its bracket (mu_n, mu_n), with 0 iterations and no
-      eigenvector: its radius is the extrapolant, not that grid's
-      eigenvalue.  Run `power_iteration_hopf` on a grid for one.
+      (see `_perron_levels`).  mu_n is taken at n = REFINE_N0,
+      2*REFINE_N0, ... and extrapolated assuming an error expansion in
+      powers of 1/n (orders 1, 2, ... eliminated in turn, one more per
+      level), which is Romberg integration of that integral.  The first
+      grid, of 2*REFINE_N0 points, gives the first two levels; each further
+      level doubles the grid.  It stops when two successive extrapolants
+      agree within tol and sets a warning flag when the REFINE_DOUBLINGS
+      budget runs out.  The result keeps the finest grid's n and its
+      bracket (mu_n, mu_n), with 0 iterations and no eigenvector: its
+      radius is the extrapolant, not that grid's eigenvalue.  Run
+      `power_iteration_hopf` on a grid for one.
 
     `tol` must be finite and > 0; lam outside [0, 1] raises
     InvalidKernelError, as one branch of the kernel is then negative.
@@ -264,9 +291,7 @@ def radius_refined(kernel: TwoSidedKernel, tol: float = 1e-6) -> RadiusResult:
     else:       # an exact lam = n/d that rounds to 0 or 1 as a float
         log_rho = math.log(lam.denominator - lam.numerator) - math.log(lam.numerator)
     values, last = [], None
-    for level in range(REFINE_DOUBLINGS + 1):
-        n = REFINE_N0 * (1 << level)
-        mu = _perron_eigenvalue(discretize(kernel, n), log_rho)
+    for n, mu in _perron_levels(kernel, log_rho):
         values.append(mu)
         # Richardson table along the diagonal
         row = list(values)

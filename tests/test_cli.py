@@ -206,6 +206,28 @@ class TestBound:
         assert code == 0 and data["lower"] == float("inf")
         assert data["details"]["kernel_radius"] == 0.0
 
+    @pytest.mark.parametrize("method", ["pth-root", "sicompar"])
+    @pytest.mark.parametrize("lam", ["1e-400", str(1 - Fraction(1, 10 ** 400))])
+    def test_lambda_that_rounds_to_an_endpoint_prints_exactly(self, capsys, method, lam):
+        # float(lam) is 0.0 or 1.0, an input with another bound; the exact
+        # lam is printed instead, as `theta` and `radius` print it
+        code, out = run(capsys, "bound", "--method", method, "--lambda", lam,
+                        "--p", "3", "--q", "plain")
+        data = json.loads(out)
+        assert code == 0 and data["lam"] == str(Fraction(lam))
+        assert 1.0 < data["lower"] < float("inf")
+        if method == "pth-root":
+            assert data["lower"] == pytest.approx(862.010318775, rel=1e-11)
+
+    @pytest.mark.parametrize("method", ["pth-root", "sicompar"])
+    @pytest.mark.parametrize("lam", ["0", "1", "1/3", "1e-300"])
+    def test_lambda_prints_as_float_elsewhere(self, capsys, method, lam):
+        code, out = run(capsys, "bound", "--method", method, "--lambda", lam,
+                        "--p", "3", "--q", "plain")
+        got = json.loads(out)["lam"]
+        assert code == 0 and isinstance(got, float)
+        assert got == pytest.approx(float(Fraction(lam)), rel=1e-11)
+
     @pytest.mark.parametrize("lam,p,q,message", [
         ("0", "7", "1", "error: LP-backed classes (q >= 1) reach degree 5;"
                         " --q plain reaches degree 8\n"),

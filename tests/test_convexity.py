@@ -7,6 +7,7 @@ from magrad.convexity import (
     LpSpace,
     check_umd_sampled,
     check_umq_sampled,
+    _BLOCK,
     _opnorm_upper,
     _sample,
     _trial_draws,
@@ -148,7 +149,8 @@ def _bits(report):
 
 
 class TestBlockedSampler:
-    # the benchmark's spaces; trial counts around one block of 32
+    # the benchmark's spaces; trial counts that end a block early, on its
+    # last row and one row into the next
     @pytest.mark.parametrize("n", range(4, 9))
     @pytest.mark.parametrize("check", ["umd", "umq"])
     def test_matches_per_trial_loop(self, check, n):
@@ -156,7 +158,7 @@ class TestBlockedSampler:
                    else (check_umq_sampled, _ref_umq))
         for p in (1.25, 1.5, 3.0, 4.0):
             sp = LpSpace(n, p)
-            for trials in (1, 31, 32, 33, 200):
+            for trials in (1, _BLOCK, _BLOCK + 1):
                 seed = 97 * n + trials
                 assert _bits(fn(sp, trials, seed=seed)) == \
                     _ref_sample(sp, trials, seed, ref(sp)), (p, trials)
@@ -172,10 +174,10 @@ class TestBlockedSampler:
             return X @ Z, scale * _opnorm_upper(X) * _opnorm_upper(Z) / 8.0
 
         sp = LpSpace(6, 3.0)
-        for trials in (1, 31, 32, 33, 200):
+        for trials in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 33):
             got = _bits(_sample(sp, trials, 11, draw))
             assert got == _ref_sample(sp, trials, 11, ref_draw)
-        assert 0 < len(got[2]) < 200 and got[1] in got[2]
+        assert 0 < len(got[2]) < trials and got[1] in got[2]
 
     @pytest.mark.parametrize("rhs", [1.0, np.nan])
     def test_no_positive_ratio_keeps_empty_report(self, rhs):

@@ -79,19 +79,22 @@ class TestDiscretize:
         ("plain", 0, "1/7"), ("plain", 4, "1/7"), ("plain", 7, "2/7"),
         ("plain", 3, "0"), ("1", 3, "1/7"), ("2", 3, "1/7")])
     def test_array_sampling_matches_scalar_calls(self, q, pm1, lam):
+        # the Toeplitz vectors are the scalar samples K(t)/n, the row at t
+        # and the column at -t, both from t = 0 (-0.0 takes the lam branch);
         # at lam = 1/7, float(1 - lam) and 1 - float(lam) differ in the last bit
         rk = reduced_kernel(pm1, Fraction(lam), CLASSES[q])
         two = rk.two_sided()
-        nodes = (np.arange(257) + 0.5) / 257
-        for ts in (nodes - nodes[0], nodes[0] - nodes):   # both start at t = 0
-            want = np.array([float(two(t)) for t in ts])
-            assert two(ts).tobytes() == want.tobytes()
-            want = np.array([float(rk(t)) for t in ts + 1])
+        n = 257
+        g = discretize(two, n)
+        col, row = g.toeplitz
+        t = g.nodes - g.nodes[0]
+        for got, ts in ((row, t), (col, -t)):
+            want = np.array([float(two(x)) for x in ts]) / n
+            assert got.tobytes() == want.tobytes()
+            want = np.array([float(rk(x)) for x in ts + 1])
             assert rk(ts + 1).tobytes() == want.tobytes()
-        # mixed signs, all negative, empty: each branch only where it applies
-        for ts in (np.linspace(-1, 1, 257), -nodes, np.empty(0)):
-            want = np.array([float(two(t)) for t in ts])
-            assert two(ts).tobytes() == want.tobytes()
+        samples = np.concatenate((col, row))
+        assert (g.kernel_min, g.kernel_max) == (samples.min() * n, samples.max() * n)
 
 
 class TestToeplitzMatvec:
@@ -345,37 +348,33 @@ class TestPerronStart:
 
     @staticmethod
     def _levels(monkeypatch, two, tol=1e-8):
-        """The result of one `radius_refined` call and its (grid, level
-        value) pairs, recorded through `discretize`."""
-        grids, values = [], []
-        disc, eig = specrad.discretize, specrad._perron_eigenvalue
+        """The result of one `radius_refined` call and the (n, mu_n) of
+        every level it took."""
+        levels = []
+        perron_levels = specrad._perron_levels
 
-        def recording_grid(kernel, n):
-            grids.append(disc(kernel, n))
-            return grids[-1]
+        def recording(kernel, log_rho):
+            for level in perron_levels(kernel, log_rho):
+                levels.append(level)
+                yield level
 
-        def recording_value(grid, log_rho):
-            values.append(eig(grid, log_rho))
-            return values[-1]
-
-        monkeypatch.setattr(specrad, "discretize", recording_grid)
-        monkeypatch.setattr(specrad, "_perron_eigenvalue", recording_value)
+        monkeypatch.setattr(specrad, "_perron_levels", recording)
         res = radius_refined(two, tol=tol)
-        assert len(grids) >= 2 and len(values) == len(grids)
-        return res, list(zip(grids, values))
+        assert len(levels) >= 2
+        return res, levels
 
     @pytest.mark.parametrize("q,pm1", KERNELS, ids=[f"{q}-{d}" for q, d in KERNELS])
     @pytest.mark.parametrize("lam", LAMS)
     def test_one_step_bracket_holds_grid_eigenvalue(self, monkeypatch, q, pm1, lam):
-        # each level value is the grid eigenvalue; the result's bracket is
-        # the finest one's, degenerate
+        # each level value is the eigenvalue of a fresh grid of its size;
+        # the result's bracket is the finest one's, degenerate
         lamf = float(Fraction(lam))
         log_rho = math.log1p(-lamf) - math.log(lamf)
         two = reduced_kernel(pm1, Fraction(lam), CLASSES[q]).two_sided()
         res, levels = self._levels(monkeypatch, two)
-        for grid, value in levels:
-            n = grid.n
-            want = math.fsum(grid.toeplitz[1] * np.exp(log_rho * np.arange(n) / n))
+        for n, value in levels:
+            row = discretize(two, n).toeplitz[1]
+            want = math.fsum(row * np.exp(log_rho * np.arange(n) / n))
             assert abs(value - want) <= 1e-14 * want, n
         assert res.bracket == (value, value) and res.n == n
         assert (res.iterations, res.brackets, res.converged) == (0, [], True)
@@ -387,10 +386,10 @@ class TestPerronStart:
         tol = 1e-8
         two = reduced_kernel(pm1, Fraction(lam), CLASSES[q]).two_sided()
         _, levels = self._levels(monkeypatch, two, tol)
-        for grid, value in levels:
-            old = power_iteration_hopf(grid, tol=tol / 100, max_iter=10 * grid.n)
+        for n, value in levels:
+            old = power_iteration_hopf(discretize(two, n), tol=tol / 100, max_iter=10 * n)
             assert old.converged
-            assert abs(old.radius - value) <= tol / 100, grid.n
+            assert abs(old.radius - value) <= tol / 100, n
 
     @pytest.mark.parametrize("lam", ["1/7", "331/1009", "7/10"])
     def test_no_matvec(self, monkeypatch, lam):
@@ -438,6 +437,54 @@ class TestPerronStart:
         two = plain_reduced_kernel(2, Fraction(1, 3)).two_sided()
         with pytest.raises(ValueError, match="tol must be a finite number > 0"):
             radius_refined(two, tol=tol)
+
+
+class TestSamplingWork:
+    """Kernel sampling per refined radius, counted through `discretize`: the
+    first grid, of 2*REFINE_N0 points, serves the first two levels."""
+
+    @staticmethod
+    def _grid_sizes(monkeypatch, two, tol):
+        sizes = []
+        disc = specrad.discretize
+
+        def counting(kernel, n):
+            sizes.append(n)
+            return disc(kernel, n)
+
+        monkeypatch.setattr(specrad, "discretize", counting)
+        return radius_refined(two, tol=tol), sizes
+
+    def test_second_level_takes_one_grid(self, monkeypatch):
+        two = plain_reduced_kernel(2, Fraction(1, 3)).two_sided()
+        res, sizes = self._grid_sizes(monkeypatch, two, 1e-8)
+        n0 = specrad.REFINE_N0
+        assert res.converged and res.n == 2 * n0
+        assert sizes == [2 * n0]
+
+    def test_third_level_adds_one_grid(self, monkeypatch):
+        two = plain_reduced_kernel(0, Fraction(1, 3)).two_sided()
+        res, sizes = self._grid_sizes(monkeypatch, two, 1e-6)
+        n0 = specrad.REFINE_N0
+        assert res.converged and res.n == 4 * n0
+        assert sizes == [2 * n0, 4 * n0]
+
+    def test_no_doubling_takes_the_first_grid_alone(self, monkeypatch):
+        monkeypatch.setattr(specrad, "REFINE_DOUBLINGS", 0)
+        two = plain_reduced_kernel(2, Fraction(1, 3)).two_sided()
+        res, sizes = self._grid_sizes(monkeypatch, two, 1e-8)
+        n0 = specrad.REFINE_N0
+        assert not res.converged and res.n == n0 and sizes == [n0]
+        assert res.bracket == (res.radius, res.radius)
+
+    @pytest.mark.parametrize("log_rho", [-0.7, 0.7])    # row and column sums
+    def test_first_grid_serves_the_coarser_level_bit_for_bit(self, monkeypatch, log_rho):
+        # with no doubling the first level comes from its own REFINE_N0 grid
+        two = plain_reduced_kernel(4, Fraction(331, 1009)).two_sided()
+        shared = next(specrad._perron_levels(two, log_rho))
+        monkeypatch.setattr(specrad, "REFINE_DOUBLINGS", 0)
+        alone = next(specrad._perron_levels(two, log_rho))
+        assert alone == shared == (specrad.REFINE_N0, alone[1])
 
 
 class TestSubmultiplicativity:
