@@ -158,18 +158,17 @@ def cmd_radius(args) -> int:
 
 
 def _closed_form(args):
-    lam = float(args.lam)
     return magnus.BoundReport(
-        method="closed-form", q="plain", lam=lam, lower=magnus.c_plain(lam),
-        upper=magnus.c_eps(lam),
+        method="closed-form", q="plain", lam=args.lam,
+        lower=magnus.c_plain(args.lam), upper=magnus.c_eps(args.lam),
         details={"note": "lower=plain closed form, upper=entire-resolvent form"})
 
 
 def _ode(args):
     corr = [(4, args.gap4)] if args.gap4 else []
     return magnus.BoundReport(
-        method="ode", q=args.q.describe(), lam=float(args.lam),
-        lower=magnus.ode_blowup(float(args.lam), corr),
+        method="ode", q=args.q.describe(), lam=args.lam,
+        lower=magnus.ode_blowup(args.lam, corr),
         details={"corrections": corr})
 
 

@@ -5,6 +5,11 @@ recursion and its corrected blow-up ODE, kernel spectral-radius p-th-root
 bounds (pointwise in lam and minimized over lam), the crude kernel-ratio
 route, and the trivial cost-relaxation upper bounds.
 
+lam enters every bound exactly, as a Fraction or as a float (which converts
+exactly), and the ends 0 and 1 are tested on that value: a lam such as
+10**-400, whose float is 0.0, gets its finite bound from `series.log_rho`,
+and its report prints the exact str(lam).
+
 The blow-up of the Riccati ODE is certified without an ODE solver: the
 substitution T = -u'/(mu*u) makes it the first positive zero of the
 solution u of a linear ODE with polynomial coefficients, so u is entire.
@@ -25,7 +30,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .kernels import plain_reduced_kernel, reduced_kernel
-from .series import horner, refine_max
+from .series import horner, log_rho, refine_max
 from .specrad import UnconvergedError, radius_refined
 from .umqnorm import ConvexityClass
 
@@ -37,32 +42,31 @@ _LAM_TOL = 1e-6
 _T_GRID = 2001
 
 
-def c_plain(lam: float) -> float:
-    """Closed-form radius 2*artanh(1-2*lam)/(1-2*lam); 2 at 1/2, inf at 0, 1."""
-    lam = float(lam)
-    if not 0.0 <= lam <= 1.0:
+def c_plain(lam: Union[Fraction, float]) -> float:
+    """Closed-form radius 2*artanh(1-2*lam)/(1-2*lam) = log_rho(lam)/(1-2*lam);
+    inf at lam in {0, 1} exactly, 2 where float(lam) is 1/2 (the radius is
+    2 + O((1-2*lam)^2) there)."""
+    if not 0 <= lam <= 1:
         raise ValueError("lam must lie in [0, 1]")
-    if lam in (0.0, 1.0):
+    if lam == 0 or lam == 1:
         return math.inf
-    if lam == 0.5:
-        return 2.0
-    # log1p - log: the quotient (1 - lam)/lam overflows for subnormal lam
-    return (math.log1p(-lam) - math.log(lam)) / (1.0 - 2.0 * lam)
+    x = 1.0 - 2.0 * float(lam)
+    return 2.0 if x == 0.0 else log_rho(lam) / x
 
 
-def w_plain(lam: float) -> float:
+def w_plain(lam: Union[Fraction, float]) -> float:
+    """1/c_plain(lam), the plain kernel's spectral radius; 0 at lam in {0, 1}."""
     c = c_plain(lam)
     return 0.0 if math.isinf(c) else 1.0 / c
 
 
-def c_eps(lam: float) -> float:
-    """Entire-resolvent radius sqrt(pi^2 + log(lam/(1-lam))^2); inf at 0, 1."""
-    lam = float(lam)
-    if not 0.0 <= lam <= 1.0:
+def c_eps(lam: Union[Fraction, float]) -> float:
+    """Entire-resolvent radius hypot(pi, log_rho(lam)); inf at lam in {0, 1}."""
+    if not 0 <= lam <= 1:
         raise ValueError("lam must lie in [0, 1]")
-    if lam in (0.0, 1.0):
+    if lam == 0 or lam == 1:
         return math.inf
-    return math.hypot(math.pi, math.log(lam / (1.0 - lam)))
+    return math.hypot(math.pi, log_rho(lam))
 
 
 def _gaps(corrections: Sequence[tuple]) -> dict:
@@ -199,7 +203,7 @@ def blowup_bracket(lam, corrections: Sequence[tuple] = ()) -> BlowupBracket:
     for k, g in gaps.items():
         c[k - 1] = c.get(k - 1, 0) + mu * k * g
     c_abs = {j: abs(cj) for j, cj in c.items()}
-    c0 = c_plain(float(lam))
+    c0 = c_plain(lam)
     x_max = 3.0 * c0 + 10.0
     # the float truncation is in y = x/2^e with 2^e <= c0 <= the blow-up,
     # so no coefficient that matters there underflows
@@ -226,9 +230,10 @@ def blowup_bracket(lam, corrections: Sequence[tuple] = ()) -> BlowupBracket:
                            f"with up to {_ODE_MAX_TERMS} Taylor terms")
 
 
-def ode_blowup(lam: float, corrections: Sequence[tuple] = ()) -> float:
+def ode_blowup(lam: Union[Fraction, float],
+               corrections: Sequence[tuple] = ()) -> float:
     """Blow-up abscissa of T' = (1+lam*T)(1+(1-lam)*T) - E(x), T(0) = 0:
-    the midpoint of `blowup_bracket`, or +inf at lam in {0, 1}.
+    the midpoint of `blowup_bracket`, or +inf at lam in {0, 1} exactly.
 
     E(x) = sum gap*k*x^(k-1) over the corrections; with E = 0 this is the
     plain closed form.  ValueError for an order that is not an integer >= 1
@@ -236,7 +241,7 @@ def ode_blowup(lam: float, corrections: Sequence[tuple] = ()) -> float:
     blow-up is certified inside the window.
     """
     _gaps(corrections)              # bad corrections raise at lam in {0, 1} too
-    if float(lam) in (0.0, 1.0):
+    if lam == 0 or lam == 1:
         return math.inf
     br = blowup_bracket(lam, corrections)
     return float((br.lo + br.hi) / 2)
@@ -244,13 +249,14 @@ def ode_blowup(lam: float, corrections: Sequence[tuple] = ()) -> float:
 
 @dataclass
 class BoundReport:
-    """One bound with its provenance; lower <= upper when both present."""
+    """One bound with its provenance; lower <= upper when both present.
+    `lam` is the lam the bound was taken at, exact as it was given."""
 
     method: str
     q: str
     lower: Optional[float] = None
     upper: Optional[float] = None
-    lam: Optional[Union[float, str]] = None
+    lam: Optional[Union[Fraction, float]] = None
     p: Optional[int] = None
     details: dict = field(default_factory=dict)
 
@@ -261,20 +267,18 @@ class BoundReport:
 
     def to_jsonable(self) -> dict:
         out = {"method": self.method, "q": self.q}
-        for k in ("lam", "p", "lower", "upper"):
+        for k in ("p", "lower", "upper"):
             v = getattr(self, k)
             if v is not None:
                 out[k] = v
+        if self.lam is not None:
+            # its float, or the exact str(lam) when that float is an end of
+            # [0, 1] that lam is not (10**-400 is no 0.0)
+            f = float(self.lam)
+            out["lam"] = str(self.lam) if f in (0.0, 1.0) and f != self.lam else f
         if self.details:
             out["details"] = self.details
         return out
-
-
-def _report_lam(lam: Fraction) -> Union[float, str]:
-    """lam as a report prints it: its float, or the exact str(lam) when that
-    float is an end of [0, 1] that lam is not (10**-400 is no 0.0)."""
-    f = float(lam)
-    return str(lam) if f in (0.0, 1.0) and f != lam else f
 
 
 def _root_bound(w: float, p: int) -> float:
@@ -298,7 +302,7 @@ def c_bound_pth_root(lam, p: int, cls: ConvexityClass,
     lamF = Fraction(lam)
     r = _kernel_radius(p - 1, lamF, cls, tol=tol)
     return BoundReport(method="pth-root-kernel", q=cls.describe(),
-                       lam=_report_lam(lamF), p=p, lower=_root_bound(r, p),
+                       lam=lamF, p=p, lower=_root_bound(r, p),
                        details={"kernel_radius": r, "p_minus_1": p - 1})
 
 
@@ -341,9 +345,9 @@ def crude_ratio_bound(lam, p: int, cls: ConvexityClass) -> BoundReport:
     """Lower bound 1/(w_plain * S^(1/p)) with S the kernel ratio supremum."""
     info = kernel_ratio_sup(p - 1, lam, cls)
     s = info["sup"]
-    w = w_plain(float(lam))
+    w = w_plain(lam)
     lower = math.inf if w == 0 else 1.0 / (w * s ** (1.0 / p))
-    return BoundReport(method="crude-ratio", q=cls.describe(), lam=float(lam),
+    return BoundReport(method="crude-ratio", q=cls.describe(), lam=lam,
                        p=p, lower=lower, details=info)
 
 
@@ -365,8 +369,8 @@ def upper_trivial(cls: ConvexityClass, variant: str = "cayley",
     if variant == "cayley":
         return BoundReport(method="trivial-upper", q=cls.describe(), lam=0.5,
                            upper=2.0 * growth, details={"variant": variant})
-    return BoundReport(method="trivial-upper", q=cls.describe(), lam=float(lam),
-                       upper=c_plain(float(lam)) * growth,
+    return BoundReport(method="trivial-upper", q=cls.describe(), lam=lam,
+                       upper=c_plain(lam) * growth,
                        details={"variant": variant})
 
 
@@ -375,7 +379,7 @@ def sicompar_bound(lam, p: int, cls: ConvexityClass) -> BoundReport:
     lamF = Fraction(lam)
     rk = reduced_kernel(p - 1, lamF, cls)
     w_up = float(max(lamF, 1 - lamF)) * float(rk.integral01())
-    return BoundReport(method="sicompar", q=cls.describe(), lam=_report_lam(lamF), p=p,
+    return BoundReport(method="sicompar", q=cls.describe(), lam=lamF, p=p,
                        lower=_root_bound(w_up, p), details={"w_upper": w_up})
 
 
@@ -383,8 +387,8 @@ def ricompar_bound(lam, p: int, cls: ConvexityClass) -> BoundReport:
     """Trivial-reduced-kernel bound: w <= (w_plain(lam) * max Ktilde)^(1/p)."""
     lamF = Fraction(lam)
     rk = reduced_kernel(p - 1, lamF, cls)
-    w_up = w_plain(float(lamF)) * rk.max01()
-    return BoundReport(method="ricompar", q=cls.describe(), lam=float(lamF), p=p,
+    w_up = w_plain(lamF) * rk.max01()
+    return BoundReport(method="ricompar", q=cls.describe(), lam=lamF, p=p,
                        lower=_root_bound(w_up, p), details={"w_upper": w_up})
 
 

@@ -3,13 +3,14 @@
 Series are plain lists indexed by power, length N+1 for truncation order N,
 with Fraction or `LambdaPoly` coefficients.  Division requires an invertible
 constant term.  Also here: the one Horner evaluator, the one elementwise
-libm pow, the compositions of an integer, in the lexicographic order that
-fixes LP column order, and the one grid-then-Brent maximizer behind every
-sup over lam or t.
+libm pow, the one log((1-lam)/lam), the compositions of an integer, in the
+lexicographic order that fixes LP column order, and the one grid-then-Brent
+maximizer behind every sup over lam or t.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -31,6 +32,18 @@ def float_pow(values: np.ndarray, e: float) -> np.ndarray:
     """values**e with Python's float pow, one element at a time: numpy's
     vectorized ** can differ from libm pow in the last bit."""
     return np.array([v ** e for v in values.tolist()])
+
+
+def log_rho(lam: Fraction | float) -> float:
+    """log rho = log((1-lam)/lam) for an exact or float lam strictly inside
+    (0, 1): log1p(-f) - log(f) when f = float(lam) lies in (0, 1) (the
+    quotient (1-f)/f overflows for subnormal f), else, for a lam = n/d whose
+    float is 0 or 1, log(d-n) - log(n) from its integer terms."""
+    f = float(lam)
+    if 0.0 < f < 1.0:
+        return math.log1p(-f) - math.log(f)
+    lam = Fraction(lam)
+    return math.log(lam.denominator - lam.numerator) - math.log(lam.numerator)
 
 
 def refine_max(f, xs, vals, xatol: float = 1e-10) -> tuple:

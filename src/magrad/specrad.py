@@ -34,6 +34,7 @@ import numpy as np
 from scipy.linalg import matmul_toeplitz
 
 from .kernels import TwoSidedKernel
+from .series import log_rho
 
 
 class InvalidKernelError(ValueError):
@@ -286,12 +287,8 @@ def radius_refined(kernel: TwoSidedKernel, tol: float = 1e-6) -> RadiusResult:
         return RadiusResult(radius=r, bracket=(r, r), iterations=0)
     if lam == 0 or lam == 1:
         return RadiusResult(radius=0.0, bracket=(0.0, 0.0), iterations=0)
-    if 0.0 < float(lam) < 1.0:
-        log_rho = math.log1p(-float(lam)) - math.log(float(lam))
-    else:       # an exact lam = n/d that rounds to 0 or 1 as a float
-        log_rho = math.log(lam.denominator - lam.numerator) - math.log(lam.numerator)
     values, last = [], None
-    for n, mu in _perron_levels(kernel, log_rho):
+    for n, mu in _perron_levels(kernel, log_rho(lam)):
         values.append(mu)
         # Richardson table along the diagonal
         row = list(values)

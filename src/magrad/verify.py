@@ -135,7 +135,7 @@ def check_plain_closed_form() -> tuple[bool, str]:
         lam = Fraction(k, 10)
         two = kernels.plain_reduced_kernel(0, lam).two_sided()
         res = specrad.radius_refined(two, tol=1e-8)
-        worst_r = max(worst_r, abs(res.radius - magnus.w_plain(float(lam))))
+        worst_r = max(worst_r, abs(res.radius - magnus.w_plain(lam)))
         grid = specrad.discretize(two, 2048)
         pres = specrad.power_iteration_hopf(grid, tol=1e-10)
         f = ((1.0 - float(lam)) / float(lam)) ** grid.nodes

@@ -1,13 +1,14 @@
 """CLI surface: subcommands, formats, determinism, exit codes."""
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from magrad import magnus, specrad
-from magrad.cli import main
+from magrad.cli import BOUND_METHODS, main
 from magrad.freealg import eval_lambda, mu_lambda
 from magrad.kernels import plain_reduced_kernel
 
@@ -218,6 +219,38 @@ class TestBound:
         assert 1.0 < data["lower"] < float("inf")
         if method == "pth-root":
             assert data["lower"] == pytest.approx(862.010318775, rel=1e-11)
+
+    @pytest.mark.parametrize("q", ["plain", "1"])
+    @pytest.mark.parametrize("lam", ["1e-400", str(1 - Fraction(1, 10 ** 400))])
+    def test_every_method_takes_lambda_exactly_at_the_float_ends(
+            self, monkeypatch, capsys, q, lam):
+        # every bound is infinite at float(lam) in {0.0, 1.0}, but not at lam:
+        # each method prints a finite bound and the exact lam, or certifies
+        # none (exit 1, no output).  ode stops at its Taylor term cap here
+        # (no blow-up below about 1e-80); a smaller cap keeps that quick
+        monkeypatch.setattr(magnus, "_ODE_MAX_TERMS", 60)
+        plain = {"closed-form": {"lower": 921.034037198, "upper": 921.039395075},
+                 "crude-ratio": {"lower": 921.034037198},
+                 "ricompar": {"lower": 12.2584405511},
+                 "trivial-upper": {"upper": 921.034037198}}
+        failed = set()
+        for method in BOUND_METHODS:
+            if method == "log":     # scans lam itself
+                continue
+            code = main(["bound", "--method", method, "--lambda", lam, "--p", "3",
+                         "--q", q, "--variant", "magnus"])
+            cap = capsys.readouterr()
+            if code == 1:
+                assert cap.out == "" and cap.err.startswith("error: "), method
+                failed.add(method)
+                continue
+            data = json.loads(cap.out)
+            bounds = [data[k] for k in ("lower", "upper") if k in data]
+            assert code == 0 and data["lam"] == str(Fraction(lam)), method
+            assert bounds and all(map(math.isfinite, bounds)), method
+            want = plain.get(method, {}) if q == "plain" else {}
+            assert {k: data[k] for k in want} == pytest.approx(want, rel=1e-11), method
+        assert failed <= {"ode"}
 
     @pytest.mark.parametrize("method", ["pth-root", "sicompar"])
     @pytest.mark.parametrize("lam", ["0", "1", "1/3", "1e-300"])

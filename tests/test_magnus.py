@@ -34,7 +34,7 @@ from magrad.magnus import (
     upper_trivial,
     w_plain,
 )
-from magrad.series import horner, refine_max, series_div
+from magrad.series import horner, log_rho, refine_max, series_div
 from magrad.umqnorm import PLAIN, ConvexityClass, theta_ab
 
 Q1 = ConvexityClass.from_q(1)
@@ -69,6 +69,29 @@ class TestClosedForms:
     def test_plain_subnormal_lambda_is_finite(self):
         # log((1 - lam)/lam) would overflow: (1 - lam)/lam is inf here
         assert c_plain(5e-324) == pytest.approx(744.44007192138, rel=1e-12)
+
+
+class TestLogRho:
+    def test_float_branch_is_log1p_minus_log(self):
+        for k in range(1, 1009):
+            lam = Fraction(k, 1009)
+            f = float(lam)
+            assert log_rho(lam) == log_rho(f) == math.log1p(-f) - math.log(f)
+        assert log_rho(5e-324) == math.log1p(-5e-324) - math.log(5e-324)
+
+    def test_lambda_whose_float_is_an_end(self):
+        # float(lam) is 0.0 or 1.0: log rho comes from lam's integer terms
+        tiny = Fraction(1, 10 ** 400)
+        assert log_rho(tiny) == -log_rho(1 - tiny) == 921.0340371976182
+        assert c_plain(tiny) == c_plain(1 - tiny) == 921.0340371976182
+        assert math.isfinite(c_eps(tiny)) and w_plain(tiny) > 0
+
+    def test_float_and_exact_lambda_agree_bit_for_bit(self):
+        floats = [k / 1009 for k in range(1009 + 1)]
+        floats += [5e-324, 1e-300, 0.5 - 2 ** -54, 1 - 2 ** -53]
+        for x in floats:
+            for f in (c_plain, c_eps, w_plain):
+                assert f(x) == f(Fraction(x)), (f.__name__, x)
 
 
 class TestEulerRecursion:
