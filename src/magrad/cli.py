@@ -186,7 +186,24 @@ BOUND_METHODS = {
 }
 
 
+#: `bound` options that only some methods read: dest -> (option, the methods
+#: that read it, its default).  Each parses to None when not given, so that
+#: one given to any other method is a usage error instead of being ignored
+METHOD_OPTIONS = {
+    "lam": ("--lambda", tuple(m for m in BOUND_METHODS if m != "log"), Fraction(1, 2)),
+    "grid": ("--grid", ("log",), 101),
+    "variant": ("--variant", ("trivial-upper",), "cayley"),
+    "gap4": ("--gap4", ("ode",), None),
+}
+
+
 def cmd_bound(args) -> int:
+    for dest, (option, methods, default) in METHOD_OPTIONS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif args.method not in methods:
+            print(f"error: --method {args.method} takes no {option}", file=sys.stderr)
+            return 2
     _emit(BOUND_METHODS[args.method](args).to_jsonable(), args)
     return 0
 
@@ -304,12 +321,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("bound", help="radius bounds by method")
     _add_common(sp, p=True, tol=1e-8)
     sp.add_argument("--method", required=True, choices=tuple(BOUND_METHODS))
-    sp.add_argument("--grid", type=int, default=101)
-    sp.add_argument("--variant", choices=("cayley", "magnus"),
-                    default="cayley")
+    sp.add_argument("--grid", type=int, default=None,
+                    help="lam grid size for --method log (default 101)")
+    sp.add_argument("--variant", choices=("cayley", "magnus"), default=None,
+                    help="--method trivial-upper form (default cayley)")
     sp.add_argument("--gap4", type=float, default=None,
                     help="degree-4 correction gap for --method ode")
-    sp.set_defaults(fn=cmd_bound)
+    # --lambda too parses to None; cmd_bound fills in METHOD_OPTIONS' defaults
+    sp.set_defaults(fn=cmd_bound, lam=None)
 
     sp = add("scan", help="lam scan CSV (lam, w, C bound)")
     _add_common(sp, lam=False, p=True, tol=1e-7, formats=("csv", "json"))

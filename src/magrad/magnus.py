@@ -31,7 +31,7 @@ from scipy.optimize import brentq
 
 from .kernels import plain_reduced_kernel, reduced_kernel
 from .series import horner, log_rho, refine_max
-from .specrad import UnconvergedError, radius_refined
+from .specrad import UnconvergedError, radii_refined, radius_refined
 from .umqnorm import ConvexityClass
 
 #: blowup_bracket starts at _ODE_TERMS Taylor terms, grows them by half up to
@@ -40,6 +40,10 @@ from .umqnorm import ConvexityClass
 _ODE_TERMS, _ODE_MAX_TERMS, _ODE_SCAN = 40, 400, 256
 _LAM_TOL = 1e-6
 _T_GRID = 2001
+
+#: scan_rows hands its lam grid's kernels to `radii_refined` this many at a
+#: time, which keeps each stacked pass's arrays under about 1 MB
+_SCAN_CHUNK = 32
 
 
 def c_plain(lam: Union[Fraction, float]) -> float:
@@ -286,14 +290,20 @@ def _root_bound(w: float, p: int) -> float:
     return math.inf if w == 0 else (1.0 / w) ** (1.0 / p)
 
 
+def _settled_radius(p_minus_1: int, lam: Fraction, res) -> float:
+    """The radius of a refined result; UnconvergedError, naming p-1 and lam,
+    when the grid refinement did not settle."""
+    if not res.converged:
+        raise UnconvergedError(f"p-1 = {p_minus_1}, lam = {Fraction(lam)}: {res.warning}")
+    return res.radius
+
+
 def _kernel_radius(p_minus_1: int, lam: Fraction, cls: ConvexityClass,
                    tol: float = 1e-8) -> float:
     """Spectral radius of the degree p-1 estimating kernel at one lam;
     UnconvergedError when the grid refinement did not settle."""
     res = radius_refined(reduced_kernel(p_minus_1, lam, cls).two_sided(), tol=tol)
-    if not res.converged:
-        raise UnconvergedError(f"p-1 = {p_minus_1}, lam = {Fraction(lam)}: {res.warning}")
-    return res.radius
+    return _settled_radius(p_minus_1, lam, res)
 
 
 def c_bound_pth_root(lam, p: int, cls: ConvexityClass,
@@ -395,14 +405,21 @@ def ricompar_bound(lam, p: int, cls: ConvexityClass) -> BoundReport:
 def scan_rows(p: int, cls: ConvexityClass, grid: int = 41,
               radius_tol: float = 1e-7) -> list:
     """(lam, kernel radius, pointwise bound) rows at `grid` equally spaced
-    lam in [0, 1/2], both ends included."""
+    lam in [0, 1/2], both ends included.
+
+    The kernels go to `radii_refined` _SCAN_CHUNK at a time, so each grid
+    level is one numpy pass per chunk; UnconvergedError names the first lam,
+    in grid order, whose radius did not settle."""
     if grid < 2:
         raise ValueError("grid must be >= 2")
+    lams = [Fraction(k, 2 * (grid - 1)) for k in range(grid)]
     rows = []
-    for k in range(grid):
-        lam = Fraction(k, 2 * (grid - 1))
-        w = _kernel_radius(p - 1, lam, cls, tol=radius_tol)
-        rows.append((float(lam), w, _root_bound(w, p)))
+    for i in range(0, grid, _SCAN_CHUNK):
+        chunk = lams[i:i + _SCAN_CHUNK]
+        stack = [reduced_kernel(p - 1, lam, cls).two_sided() for lam in chunk]
+        for lam, res in zip(chunk, radii_refined(stack, tol=radius_tol)):
+            w = _settled_radius(p - 1, lam, res)
+            rows.append((float(lam), w, _root_bound(w, p)))
     return rows
 
 

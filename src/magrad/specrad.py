@@ -8,10 +8,10 @@ step and intersected with the previous bracket, so the stored sequence is
 nested and each interval still contains the grid operator's radius.
 
 Toeplitz kernels (two-sided reduced form) multiply through
-`scipy.linalg.matmul_toeplitz`.  `radius_refined` answers a two-sided
-kernel without that product: at lam = 1/2 by its closed form, at lam in
-{0, 1} by 0 (one branch vanishes and the operator is Volterra), and
-otherwise by conjugating with rho^t, rho = (1-lam)/lam, which turns the
+`scipy.linalg.matmul_toeplitz`.  `radii_refined` answers a stack of
+two-sided kernels without that product: at lam = 1/2 by the closed form,
+at lam in {0, 1} by 0 (one branch vanishes and the operator is Volterra),
+and otherwise by conjugating with rho^t, rho = (1-lam)/lam, which turns the
 midpoint grid into a circulant, so rho^(t_i) is the grid's Perron vector
 and its eigenvalue is mu_n = sum_e row_e rho^(e/n), read off the grid's
 Toeplitz vectors.  That is the left Riemann sum of
@@ -19,16 +19,24 @@ lam * integral_0^1 Ktilde(s) rho^s ds, the kernel's exact radius, and the
 grid doubling schedule with Richardson extrapolation on it is Romberg
 integration.  Its first grid, of 2*REFINE_N0 points, gives the first two
 levels, since its even entries are exactly the REFINE_N0-point grid's
-samples; each further level samples one doubled grid.  A two-sided
-kernel's grid takes both Toeplitz vectors from one Horner pass of its
-reduced kernel.
+samples; each further level samples one doubled grid.
+
+Every level is one numpy pass over the whole stack: `discretize` takes the
+stack's Toeplitz vectors from one Horner pass of the reduced kernels (they
+share a degree) at sample points cached per n, and the level sums run along
+the stack's rows.  Each kernel meets the same IEEE operations in the same
+order as alone, so a kernel's radius is bit for bit the same in any stack;
+kernels that settle leave the stack before the next grid.
+`radius_refined` is the stack of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from fractions import Fraction
+from functools import lru_cache
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 from scipy.linalg import matmul_toeplitz
@@ -87,25 +95,76 @@ class OperatorGrid:
         return (M - m) / (M + m)
 
 
-def discretize(kernel: KernelLike, n: int) -> OperatorGrid:
-    """Build the n-point midpoint Nystrom grid for a kernel on [0, 1]^2."""
+@lru_cache(maxsize=8)
+def _sample_points(n: int) -> tuple:
+    """(nodes, x, e) of the n-point grid, read-only and shared by every
+    kernel: the midpoints t_i; the 2n Horner points of both Toeplitz
+    vectors, t = t_i - t_0 for the row, a placeholder 0, then 1 - t for
+    t > 0 for the column below the diagonal; and the float exponents
+    e = 0, ..., n-1 of the Perron weights rho^(e/n), which are taken as
+    exp((-|log rho| * e) / n)."""
+    nodes = (np.arange(n) + 0.5) / n
+    t = nodes - nodes[0]
+    points = (nodes, np.concatenate((t, [0.0], 1.0 - t[1:])), np.arange(n, dtype=float))
+    for a in points:
+        a.setflags(write=False)
+    return points
+
+
+def _toeplitz_samples(kernels: Sequence[TwoSidedKernel], n: int) -> np.ndarray:
+    """Row i holds kernel i's Toeplitz row (entries :n) and column (n:).
+
+    One Horner pass of every reduced kernel, as a stack of one degree and
+    in place: the row at t, the column below the diagonal at 1 - t; the
+    column's first entry is the row's, as the diagonal t = 0 takes the lam
+    branch.  Each sample is bit for bit the kernel's own scalar call.  A
+    kernel with a negative or non-finite sample raises, the first in stack
+    order.
+    """
+    coeffs = [k.reduced.fcoeffs for k in kernels]
+    if len({len(c) for c in coeffs}) != 1:
+        raise InvalidUseError("a kernel stack needs one or more kernels of one degree")
+    _, x, _ = _sample_points(n)
+    vals = np.zeros((len(coeffs), 2 * n))
+    for c in np.array(coeffs).T[::-1, :, None]:
+        vals *= x
+        vals += c
+    # lam and 1 - lam rounded once each from the exact lam = a/b: int true
+    # division rounds correctly, so (b - a) / b is float(1 - lam), without
+    # a Fraction subtraction
+    ratios = [k.lam.as_integer_ratio() for k in kernels]
+    vals[:, :n] *= [[a / b] for a, b in ratios]
+    vals[:, n + 1:] *= [[(b - a) / b] for a, b in ratios]
+    vals[:, n] = vals[:, 0]
+    vals /= n
+    if not (vals.min() >= 0.0 and vals.max() < math.inf):
+        for row in vals:            # in stack order, each as it would alone
+            _clamp_roundoff(row[:n])
+            _clamp_roundoff(row[n:])
+            if not np.isfinite(row).all():
+                raise InvalidKernelError("non-finite kernel sample")
+    return vals
+
+
+def discretize(kernel: Union[KernelLike, Sequence[TwoSidedKernel]], n: int):
+    """Build the n-point midpoint Nystrom grid for a kernel on [0, 1]^2.
+
+    A sequence of two-sided kernels of one degree gives their Toeplitz
+    vectors instead: a pair (cols, rows) of arrays of shape (len, n) whose
+    row i is kernel i's first column and first row.  A lone two-sided
+    kernel's grid keeps those of its stack of one.
+    """
     if n < 2:
         raise InvalidUseError("need n >= 2")
-    nodes = (np.arange(n) + 0.5) / n
+    nodes, _, _ = _sample_points(n)
     if isinstance(kernel, TwoSidedKernel):
-        # one Horner pass for both Toeplitz vectors: the row at t, the column
-        # below the diagonal at 1 - t; its first entry is the row's, as the
-        # diagonal t = 0 takes the lam branch
-        t = nodes - nodes[0]
-        k = kernel.reduced(np.concatenate((t, 1.0 - t[1:])))
-        vals = np.empty(2 * n)
-        vals[:n] = float(kernel.lam) * k[:n] / n
-        vals[n + 1:] = float(1 - kernel.lam) * k[n:] / n
-        vals[n] = vals[0]
-        row, col = _clamp_roundoff(vals[:n]), _clamp_roundoff(vals[n:])
-        return OperatorGrid(n=n, nodes=nodes, toeplitz=(col, row),
+        vals = _toeplitz_samples((kernel,), n)[0]
+        return OperatorGrid(n=n, nodes=nodes, toeplitz=(vals[n:], vals[:n]),
                             kernel_min=float(vals.min()) * n,
                             kernel_max=float(vals.max()) * n)
+    if not callable(kernel):
+        vals = _toeplitz_samples(kernel, n)
+        return vals[:, n:], vals[:, :n]
     A = np.empty((n, n))
     for i, t0 in enumerate(nodes):
         A[i, :] = [float(kernel(t0, tp)) for tp in nodes]
@@ -214,42 +273,56 @@ def power_iteration_hopf(grid: OperatorGrid, tol: float = 1e-8,
                         converged=converged, warning=warning, brackets=brackets, n=n)
 
 
-#: first grid size of `radius_refined`, and how often it may double
+#: first grid size of `radii_refined`, and how often it may double
 REFINE_N0 = 256
 REFINE_DOUBLINGS = 5
 
+_HALF = Fraction(1, 2)
 
-def _perron_levels(kernel: TwoSidedKernel, log_rho: float):
-    """Yield (n, mu_n) for n = REFINE_N0 * 2^level, level = 0, ...,
-    REFINE_DOUBLINGS, where mu_n is the eigenvalue of the n-point grid whose
-    Perron vector is rho^(t_i), with log_rho = log rho.
+
+def _perron_levels(kernels: Sequence[TwoSidedKernel], log_rhos: np.ndarray,
+                   n: int) -> list:
+    """[(n', mu_n')] for the Romberg levels one n-point grid gives a stack of
+    kernels: mu_n' is an array, entry i the eigenvalue of kernel i's n'-point
+    grid, whose Perron vector is rho_i^(t_j), with log_rhos[i] = log rho_i.
 
     mu_n = sum_e row_e rho^(e/n), or equally row_0 + sum_(d>=1) col_d
     rho^(-d/n), since col_d = rho * row_(n-d) for exact samples.  The sum
     taken is the one whose weights are <= 1, so no weight overflows at
     extreme lam; col_0 = row_0 is the sample at t = 0.
 
-    The first grid has 2*REFINE_N0 points and serves two levels: for a
-    power-of-two REFINE_N0 its even nodes 2e/(2n) are exactly the nodes e/n
-    of the coarser grid, its even weights exp(-|log_rho| * 2e / (2n)) are
-    exactly the coarser ones, and twice its samples are exactly the coarser
-    samples, so mu_n comes out bit for bit as on its own grid.  Every
-    further level is one `discretize`.  With REFINE_DOUBLINGS = 0 the one
-    grid has REFINE_N0 points.
+    The first grid, n = 2*REFINE_N0, serves two levels: for a power-of-two
+    REFINE_N0 its even nodes 2e/(2n) are exactly the nodes e/n of the
+    coarser grid, its even weights exp(-|log_rho| * 2e / (2n)) are exactly
+    the coarser ones, and twice its samples are exactly the coarser
+    samples, so mu_REFINE_N0 comes out bit for bit as on its own grid.
+    Every other n gives its own level alone.  The whole stack is one
+    `discretize`, and each sum runs along one kernel's row.
     """
-    n = 2 * REFINE_N0 if REFINE_DOUBLINGS else REFINE_N0
-    while n <= REFINE_N0 << REFINE_DOUBLINGS:
-        col, row = discretize(kernel, n).toeplitz
-        side = row if log_rho <= 0 else col
-        weights = np.exp(-abs(log_rho) * np.arange(n) / n)
-        if n == 2 * REFINE_N0:
-            yield REFINE_N0, float(np.sum(2.0 * side[::2] * weights[::2]))
-        yield n, float(np.sum(side * weights))
-        n *= 2
+    cols, rows = discretize(kernels, n)
+    sides = rows            # fresh arrays: each row takes its kernel's side in place
+    np.copyto(sides, cols, where=(log_rhos > 0)[:, None])
+    weights = np.multiply.outer(-np.abs(log_rhos), _sample_points(n)[2])
+    weights /= n
+    np.exp(weights, out=weights)
+    levels = []
+    if n == 2 * REFINE_N0:
+        even = 2.0 * sides[:, ::2]
+        even *= weights[:, ::2]
+        levels.append((REFINE_N0, even.sum(axis=1)))
+    weights *= sides
+    levels.append((n, weights.sum(axis=1)))
+    return levels
 
 
 def radius_refined(kernel: TwoSidedKernel, tol: float = 1e-6) -> RadiusResult:
-    """Radius of a two-sided kernel, by lam:
+    """Radius of one two-sided kernel: `radii_refined` of the stack of one."""
+    return radii_refined((kernel,), tol)[0]
+
+
+def radii_refined(kernels: Sequence[TwoSidedKernel],
+                  tol: float = 1e-6) -> list:
+    """One RadiusResult per two-sided kernel, by lam:
 
     - lam = 1/2: the kernel is convolution type and its radius is
       lam * integral(Ktilde) over [0, 1], returned without a grid.
@@ -267,38 +340,61 @@ def radius_refined(kernel: TwoSidedKernel, tol: float = 1e-6) -> RadiusResult:
       powers of 1/n (orders 1, 2, ... eliminated in turn, one more per
       level), which is Romberg integration of that integral.  The first
       grid, of 2*REFINE_N0 points, gives the first two levels; each further
-      level doubles the grid.  It stops when two successive extrapolants
-      agree within tol and sets a warning flag when the REFINE_DOUBLINGS
-      budget runs out.  The result keeps the finest grid's n and its
-      bracket (mu_n, mu_n), with 0 iterations and no eigenvector: its
-      radius is the extrapolant, not that grid's eigenvalue.  Run
+      level doubles the grid.  A kernel stops when two successive
+      extrapolants agree within tol and gets a warning flag when the
+      REFINE_DOUBLINGS budget runs out.  Its result keeps the finest grid's
+      n and its bracket (mu_n, mu_n), with 0 iterations and no eigenvector:
+      its radius is the extrapolant, not that grid's eigenvalue.  Run
       `power_iteration_hopf` on a grid for one.
 
-    `tol` must be finite and > 0; lam outside [0, 1] raises
-    InvalidKernelError, as one branch of the kernel is then negative.
+    Every grid is sampled once for all kernels still unsettled, so the
+    kernels must share one degree; a kernel's result is bit for bit the one
+    it gets alone.  The stack's arrays grow with its size times the grid,
+    about 16 KB per kernel on the first grid.
+
+    `tol` must be finite and > 0; a lam outside [0, 1] raises
+    InvalidKernelError before any grid is sampled, as one branch of that
+    kernel is then negative.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be a finite number > 0")
-    lam = kernel.lam
-    if not 0 <= lam <= 1:
-        raise InvalidKernelError(f"lam = {lam} outside [0, 1] gives a negative kernel branch")
-    if lam == 0.5:
-        r = float(kernel.reduced.integral01() * lam)
-        return RadiusResult(radius=r, bracket=(r, r), iterations=0)
-    if lam == 0 or lam == 1:
-        return RadiusResult(radius=0.0, bracket=(0.0, 0.0), iterations=0)
+    results, stack = [None] * len(kernels), []
+    for i, kernel in enumerate(kernels):
+        lam = kernel.lam
+        if not 0 <= lam <= 1:
+            raise InvalidKernelError(f"lam = {lam} outside [0, 1] gives a negative kernel branch")
+        if lam == _HALF:
+            r = float(kernel.reduced.integral01() * lam)
+            results[i] = RadiusResult(radius=r, bracket=(r, r), iterations=0)
+        elif lam == 0 or lam == 1:
+            results[i] = RadiusResult(radius=0.0, bracket=(0.0, 0.0), iterations=0)
+        else:
+            stack.append(i)
+    idx = np.array(stack, dtype=int)
+    log_rhos = np.array([log_rho(kernels[i].lam) for i in stack])
     values, last = [], None
-    for n, mu in _perron_levels(kernel, log_rho(lam)):
-        values.append(mu)
-        # Richardson table along the diagonal
-        row = list(values)
-        for order in range(1, len(values)):
-            f = float(2 ** order)
-            row = [(f * row[i + 1] - row[i]) / (f - 1.0) for i in range(len(row) - 1)]
-        converged = last is not None and bool(abs(row[0] - last) <= tol)
-        last = row[0]
-        if converged:
+    n, top = (2 * REFINE_N0 if REFINE_DOUBLINGS else REFINE_N0), REFINE_N0 << REFINE_DOUBLINGS
+    while idx.size:
+        for level_n, mu in _perron_levels([kernels[i] for i in idx], log_rhos, n):
+            values.append(mu)
+            # Richardson table along the diagonal, one entry per kernel
+            row = values
+            for order in range(1, len(values)):
+                f = float(2 ** order)
+                row = [(f * row[j + 1] - row[j]) / (f - 1.0) for j in range(len(row) - 1)]
+            converged = (np.zeros(idx.size, dtype=bool) if last is None
+                         else np.abs(row[0] - last) <= tol)
+            last = row[0]
+        keep = ~converged & (n < top)
+        for j in (~keep).nonzero()[0]:
+            ok, mu_j = bool(converged[j]), float(mu[j])
+            results[idx[j]] = RadiusResult(
+                radius=float(last[j]), bracket=(mu_j, mu_j), iterations=0,
+                converged=ok, n=level_n, warning=None if ok else
+                "doubling budget exhausted before extrapolants settled")
+        if not keep.any():
             break
-    return RadiusResult(radius=last, bracket=(mu, mu), iterations=0, converged=converged,
-                        warning=None if converged else
-                        "doubling budget exhausted before extrapolants settled", n=n)
+        idx, log_rhos, last = idx[keep], log_rhos[keep], last[keep]
+        values = [v[keep] for v in values]
+        n *= 2
+    return results

@@ -227,7 +227,8 @@ class TestBound:
         # every bound is infinite at float(lam) in {0.0, 1.0}, but not at lam:
         # each method prints a finite bound and the exact lam, or certifies
         # none (exit 1, no output).  ode stops at its Taylor term cap here
-        # (no blow-up below about 1e-80); a smaller cap keeps that quick
+        # (no blow-up below about 1e-80); a smaller cap keeps that quick.
+        # Only trivial-upper reads --variant, and its magnus form reads lam
         monkeypatch.setattr(magnus, "_ODE_MAX_TERMS", 60)
         plain = {"closed-form": {"lower": 921.034037198, "upper": 921.039395075},
                  "crude-ratio": {"lower": 921.034037198},
@@ -237,8 +238,9 @@ class TestBound:
         for method in BOUND_METHODS:
             if method == "log":     # scans lam itself
                 continue
+            variant = ["--variant", "magnus"] if method == "trivial-upper" else []
             code = main(["bound", "--method", method, "--lambda", lam, "--p", "3",
-                         "--q", q, "--variant", "magnus"])
+                         "--q", q, *variant])
             cap = capsys.readouterr()
             if code == 1:
                 assert cap.out == "" and cap.err.startswith("error: "), method
@@ -298,6 +300,19 @@ class TestBound:
         code = main([*argv, "--grid", grid])
         cap = capsys.readouterr()
         assert code == 2 and cap.out == "" and "grid must be >= 2" in cap.err
+
+    @pytest.mark.parametrize("argv,option", [
+        (("--method", "pth-root", "--lambda", "1/3", "--gap4", "0.02"), "--gap4"),
+        (("--method", "closed-form", "--variant", "magnus"), "--variant"),
+        (("--method", "sicompar", "--grid", "11"), "--grid"),
+        (("--method", "log", "--p", "2", "--lambda", "1/3"), "--lambda")],
+        ids=["gap4", "variant", "grid", "lambda"])
+    def test_option_of_another_method_is_usage_error(self, capsys, argv, option):
+        # each was parsed and then silently ignored
+        code = main(["bound", *argv])
+        cap = capsys.readouterr()
+        assert code == 2 and cap.out == ""
+        assert cap.err == f"error: --method {argv[1]} takes no {option}\n"
 
     def test_unknown_method_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

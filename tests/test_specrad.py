@@ -9,7 +9,8 @@ import pytest
 from scipy.linalg import matmul_toeplitz
 
 from magrad import specrad
-from magrad.kernels import TwoSidedKernel, plain_reduced_kernel, reduced_kernel
+from magrad.kernels import (ReducedKernel, TwoSidedKernel, plain_reduced_kernel,
+                            reduced_kernel)
 from magrad.magnus import _kernel_radius, c_bound_pth_root, w_plain
 from magrad.specrad import (
     InvalidKernelError,
@@ -17,6 +18,7 @@ from magrad.specrad import (
     OperatorGrid,
     discretize,
     power_iteration_hopf,
+    radii_refined,
     radius_refined,
 )
 from magrad.umqnorm import PLAIN, ConvexityClass
@@ -353,10 +355,10 @@ class TestPerronStart:
         levels = []
         perron_levels = specrad._perron_levels
 
-        def recording(kernel, log_rho):
-            for level in perron_levels(kernel, log_rho):
-                levels.append(level)
-                yield level
+        def recording(kernels, log_rhos, n):
+            got = perron_levels(kernels, log_rhos, n)
+            levels.extend((m, float(mu[0])) for m, mu in got)
+            return got
 
         monkeypatch.setattr(specrad, "_perron_levels", recording)
         res = radius_refined(two, tol=tol)
@@ -478,13 +480,109 @@ class TestSamplingWork:
         assert res.bracket == (res.radius, res.radius)
 
     @pytest.mark.parametrize("log_rho", [-0.7, 0.7])    # row and column sums
-    def test_first_grid_serves_the_coarser_level_bit_for_bit(self, monkeypatch, log_rho):
-        # with no doubling the first level comes from its own REFINE_N0 grid
+    def test_first_grid_serves_the_coarser_level_bit_for_bit(self, log_rho):
+        # the REFINE_N0 grid, which the first level takes with no doubling,
+        # gives that level alone
         two = plain_reduced_kernel(4, Fraction(331, 1009)).two_sided()
-        shared = next(specrad._perron_levels(two, log_rho))
-        monkeypatch.setattr(specrad, "REFINE_DOUBLINGS", 0)
-        alone = next(specrad._perron_levels(two, log_rho))
-        assert alone == shared == (specrad.REFINE_N0, alone[1])
+        n0 = specrad.REFINE_N0
+
+        def first_level(n):
+            m, mu = specrad._perron_levels([two], np.array([log_rho]), n)[0]
+            return m, float(mu[0])
+
+        shared, alone = first_level(2 * n0), first_level(n0)
+        assert alone == shared == (n0, alone[1])
+        assert len(specrad._perron_levels([two], np.array([log_rho]), n0)) == 1
+
+
+class TestStackedLevels:
+    """`radii_refined` samples each grid once for a stack of kernels and
+    drops settled kernels between grids; every kernel's result is field for
+    field, bit for bit, the one `radius_refined` gives it alone."""
+
+    GRID = [Fraction(k, 80) for k in range(41)]    # lam in [0, 1/2], ends included
+    CASES = [("plain", pm1) for pm1 in (0, 2, 4, 7)] \
+        + [(q, pm1) for q in ("1", "2") for pm1 in (0, 2, 4)]
+
+    @staticmethod
+    def _fields(res) -> tuple:
+        return (res.radius.hex(), tuple(b.hex() for b in res.bracket), res.n,
+                res.converged, res.warning)
+
+    def _stack(self, q, pm1):
+        return [reduced_kernel(pm1, lam, CLASSES[q]).two_sided() for lam in self.GRID]
+
+    @pytest.mark.parametrize("q,pm1", CASES, ids=[f"{q}-{d}" for q, d in CASES])
+    def test_stack_equals_single(self, q, pm1):
+        stack = self._stack(q, pm1)
+        for tol in (1e-7, 1e-13):     # kernels settle on one grid, or on up to five
+            got = radii_refined(stack, tol=tol)
+            want = [radius_refined(two, tol=tol) for two in stack]
+            assert list(map(self._fields, got)) == list(map(self._fields, want)), tol
+
+    def test_settled_kernels_leave_the_stack(self, monkeypatch):
+        # at this tol the kernels settle on every grid from the first to the
+        # last, and each grid samples only those still unsettled
+        sampled = []
+        disc = specrad.discretize
+
+        def counting(kernels, n):
+            sampled.append((n, len(kernels)))
+            return disc(kernels, n)
+
+        monkeypatch.setattr(specrad, "discretize", counting)
+        got = radii_refined(self._stack("plain", 2), tol=1e-14)
+        n0 = specrad.REFINE_N0
+        assert [n for n, _ in sampled] == [2 * n0 << i for i in range(5)]
+        settled = [sum(r.n == n for r in got) for n, _ in sampled]
+        assert min(settled) > 0
+        assert [m for _, m in sampled] == [39 - sum(settled[:i]) for i in range(5)]
+
+    @pytest.mark.parametrize("doublings", [0, 1])
+    def test_unconverged_flags_match(self, monkeypatch, doublings):
+        # no doubling: no kernel off lam in {0, 1/2} settles; one doubling:
+        # some do
+        monkeypatch.setattr(specrad, "REFINE_DOUBLINGS", doublings)
+        flags = []
+        for q, pm1 in (("plain", 0), ("plain", 2), ("1", 2)):
+            stack = self._stack(q, pm1)
+            got = radii_refined(stack, tol=1e-13)
+            want = [radius_refined(two, tol=1e-13) for two in stack]
+            assert list(map(self._fields, got)) == list(map(self._fields, want))
+            flags += [r.converged for r in got[1:-1]]
+        assert (any(flags), not all(flags)) == (doublings == 1, True)
+
+    @pytest.mark.parametrize("coeffs", [(Fraction(1), Fraction(-3)), (math.inf, 1.0),
+                                        (math.nan, 1.0)], ids=["negative", "inf", "nan"])
+    def test_bad_kernel_in_a_stack_raises_as_alone(self, coeffs):
+        bad = ReducedKernel(coeffs=coeffs, lam=Fraction(1, 3), p_minus_1=1).two_sided()
+        with pytest.raises(InvalidKernelError) as alone:
+            radius_refined(bad)
+        stack = [plain_reduced_kernel(1, Fraction(k, 9)).two_sided() for k in range(1, 9)]
+        stack.insert(5, bad)
+        with pytest.raises(InvalidKernelError) as stacked:
+            radii_refined(stack)
+        assert str(stacked.value) == str(alone.value)
+        assert ("negative" if coeffs[1] < 0 else "non-finite") in str(alone.value)
+
+    def test_stack_needs_one_degree(self):
+        stack = [plain_reduced_kernel(d, Fraction(1, 3)).two_sided() for d in (2, 3)]
+        with pytest.raises(InvalidUseError, match="one degree"):
+            radii_refined(stack)
+
+    def test_lambda_outside_unit_interval_raises_before_sampling(self, monkeypatch):
+        monkeypatch.setattr(specrad, "discretize", None)
+        stack = [plain_reduced_kernel(2, Fraction(k, 4)).two_sided() for k in (1, 2, 5)]
+        with pytest.raises(InvalidKernelError, match=r"lam = 5/4 outside \[0, 1\]"):
+            radii_refined(stack)
+
+    def test_stack_vectors_are_the_single_grids(self):
+        stack = [reduced_kernel(3, lam, Q1).two_sided() for lam in self.GRID[1:6]]
+        cols, rows = discretize(stack, 64)
+        assert cols.shape == rows.shape == (5, 64)
+        for two, col, row in zip(stack, cols, rows):
+            c, r = discretize(two, 64).toeplitz
+            assert c.tobytes() == col.tobytes() and r.tobytes() == row.tobytes()
 
 
 class TestSubmultiplicativity:
