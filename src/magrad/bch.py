@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .freealg import LambdaPoly, NCPoly
-from .series import compositions, float_pow, refine_max, series_div
+from .series import compositions, float_pow, horner, refine_max, series_div
 from .umqnorm import ConvexityClass, QuasiMonomial, leaf, prod, xi
 
 #: cumulative BCH radius in the plain case (8 verified digits)
@@ -90,12 +90,12 @@ class _LamTable:
 @lru_cache(maxsize=None)
 def _coeff_rows() -> np.ndarray:
     """c_0..c_N and the (3,5) cross-term word coefficients c2^2 and c3 as
-    float rows, highest power first; leading zeros pad the shorter ones."""
+    float rows, lowest power first; zeros pad the shorter ones at the top."""
     c = resolvent_series(_N)
     polys = (*c, c[2] * c[2], c[3])
     width = max(len(p.coeffs) for p in polys)
-    return np.array([[0.0] * (width - len(p.coeffs))
-                     + [float(c) for c in reversed(p.coeffs)] for p in polys])
+    return np.array([[float(c) for c in p.coeffs] + [0.0] * (width - len(p.coeffs))
+                     for p in polys])
 
 
 def _lam_table(lams) -> _LamTable:
@@ -105,17 +105,13 @@ def _lam_table(lams) -> _LamTable:
     1-lam is exact in floats for lam >= 1/2.  Float Horner of the c_n loses
     every digit near lam = 1 (coefficients up to ~1e3, c_24(1) = 1/24!),
     but not near 0; on [0, 1/2] mu = lam.  All rows go through one stacked
-    Horner: per element the IEEE multiply and add of `series.horner`, and a
-    padding zero stays 0 * mu + 0 = 0, so every bit is as per polynomial.
+    `horner`, bit for bit as per polynomial.
     """
     lams = np.array([float(l) for l in lams])
     if not np.all((0.0 <= lams) & (lams <= 1.0)):
         raise ValueError("lam must lie in [0, 1]")
     mus = np.minimum(lams, 1.0 - lams)
-    coeffs = _coeff_rows()
-    rows = np.zeros((len(coeffs), len(mus)))
-    for col in coeffs.T:
-        rows = rows * mus + col[:, None]
+    rows = horner(_coeff_rows(), mus)
     pref = lams * (1.0 - lams)
     return _LamTable(abs_c=np.abs(rows[:_N + 1]), c2sq=rows[_N + 1],
                      c3=rows[_N + 2], pref=pref, pref3=float_pow(pref, 3))

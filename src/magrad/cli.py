@@ -137,8 +137,8 @@ def cmd_kernel(args) -> int:
     rk = kernels.reduced_kernel(args.p_minus_1, args.lam, args.q)
     rows = kernels.kernel_csv_rows(rk, samples=args.samples)
     _emit({"p_minus_1": rk.p_minus_1, "lam": str(args.lam),
-           "q": args.q.describe(), "exact": args.q.exact,
-           "coeffs": [str(c) if args.q.exact else float(c) for c in rk.coeffs]},
+           "q": args.q.describe(), "exact": rk.exact,
+           "coeffs": [str(c) for c in rk.coeffs]},
           args, csv_rows=rows, csv_header=("t", "ktilde"))
     return 0
 
@@ -191,6 +191,9 @@ BOUND_METHODS = {
 #: one given to any other method is a usage error instead of being ignored
 METHOD_OPTIONS = {
     "lam": ("--lambda", tuple(m for m in BOUND_METHODS if m != "log"), Fraction(1, 2)),
+    "p": ("--p", ("pth-root", "log", "crude-ratio", "sicompar", "ricompar"), 5),
+    "tol": ("--tol", ("pth-root", "log"), 1e-8),
+    "q": ("--q", tuple(m for m in BOUND_METHODS if m != "closed-form"), PLAIN),
     "grid": ("--grid", ("log",), 101),
     "variant": ("--variant", ("trivial-upper",), "cayley"),
     "gap4": ("--gap4", ("ode",), None),
@@ -327,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="--method trivial-upper form (default cayley)")
     sp.add_argument("--gap4", type=float, default=None,
                     help="degree-4 correction gap for --method ode")
-    # --lambda too parses to None; cmd_bound fills in METHOD_OPTIONS' defaults
-    sp.set_defaults(fn=cmd_bound, lam=None)
+    # --q, --lambda, --p and --tol parse to None too (see METHOD_OPTIONS)
+    sp.set_defaults(fn=cmd_bound, q=None, lam=None, p=None, tol=None)
 
     sp = add("scan", help="lam scan CSV (lam, w, C bound)")
     _add_common(sp, lam=False, p=True, tol=1e-7, formats=("csv", "json"))

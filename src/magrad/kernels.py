@@ -209,8 +209,5 @@ def kernel_csv_rows(k: ReducedKernel, samples: int = 101):
     """(t, Ktilde(t)) sample table for export, t evenly spaced on [0, 1]."""
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    rows = []
-    for i in range(samples):
-        t = i / (samples - 1)
-        rows.append((t, float(k(t))))
-    return rows
+    ts = np.arange(samples) / (samples - 1)
+    return list(zip(ts.tolist(), k(ts).tolist()))

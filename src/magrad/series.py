@@ -21,7 +21,16 @@ def horner(coeffs, x):
     """Polynomial `coeffs` (lowest power first) at x: exact for a Fraction x,
     else with the coefficients as floats.  A float ndarray x is evaluated
     elementwise, bit for bit as the scalar loop at each element (the same
-    IEEE multiply and add in the same order)."""
+    IEEE multiply and add in the same order).  A 2-D float `coeffs` stacks
+    polynomials one per row, zero-padded at the top, and gives one row of
+    values each from one in-place pass, bit for bit `horner(row, x)` at
+    x >= 0 (a padding zero stays +0, as the scalar start x * 0 does)."""
+    if isinstance(coeffs, np.ndarray) and coeffs.ndim == 2:
+        acc = np.zeros((len(coeffs), np.size(x)))
+        for c in coeffs.T[::-1, :, None]:
+            acc *= x
+            acc += c
+        return acc
     acc = x * 0
     for c in reversed(coeffs):
         acc = acc * x + (c if isinstance(x, Fraction) else float(c))

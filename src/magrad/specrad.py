@@ -5,7 +5,9 @@ bracket [min (Av)_i/v_i, max (Av)_i/v_i], which encloses the spectral radius
 at every step and contracts at rate (M-m)/(M+m) when the kernel is bounded
 between positive constants m and M.  Brackets are widened by a few ulps per
 step and intersected with the previous bracket, so the stored sequence is
-nested and each interval still contains the grid operator's radius.
+nested; each interval contains the grid operator's radius only until the
+noise floor, where the widening proves nothing: the FFT Toeplitz product's
+error is not bounded entry by entry.
 
 Toeplitz kernels (two-sided reduced form) multiply through
 `scipy.linalg.matmul_toeplitz`.  `radii_refined` answers a stack of
@@ -42,7 +44,7 @@ import numpy as np
 from scipy.linalg import matmul_toeplitz
 
 from .kernels import TwoSidedKernel
-from .series import log_rho
+from .series import horner, log_rho
 
 
 class InvalidKernelError(ValueError):
@@ -76,10 +78,8 @@ class OperatorGrid:
     kernel_max: float = 0.0
 
     def __post_init__(self):
-        if self.toeplitz is not None:
-            col, row = self.toeplitz
-            if not (np.isfinite(col).all() and np.isfinite(row).all()):
-                raise InvalidKernelError("non-finite kernel sample")
+        for vals in self.toeplitz or ():
+            _check_samples(vals)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         if self.toeplitz is None:
@@ -114,8 +114,8 @@ def _sample_points(n: int) -> tuple:
 def _toeplitz_samples(kernels: Sequence[TwoSidedKernel], n: int) -> np.ndarray:
     """Row i holds kernel i's Toeplitz row (entries :n) and column (n:).
 
-    One Horner pass of every reduced kernel, as a stack of one degree and
-    in place: the row at t, the column below the diagonal at 1 - t; the
+    One `horner` pass of every reduced kernel, as a stack of one degree:
+    the row at t, the column below the diagonal at 1 - t; the
     column's first entry is the row's, as the diagonal t = 0 takes the lam
     branch.  Each sample is bit for bit the kernel's own scalar call.  A
     kernel with a negative or non-finite sample raises, the first in stack
@@ -124,11 +124,7 @@ def _toeplitz_samples(kernels: Sequence[TwoSidedKernel], n: int) -> np.ndarray:
     coeffs = [k.reduced.fcoeffs for k in kernels]
     if len({len(c) for c in coeffs}) != 1:
         raise InvalidUseError("a kernel stack needs one or more kernels of one degree")
-    _, x, _ = _sample_points(n)
-    vals = np.zeros((len(coeffs), 2 * n))
-    for c in np.array(coeffs).T[::-1, :, None]:
-        vals *= x
-        vals += c
+    vals = horner(np.array(coeffs), _sample_points(n)[1])
     # lam and 1 - lam rounded once each from the exact lam = a/b: int true
     # division rounds correctly, so (b - a) / b is float(1 - lam), without
     # a Fraction subtraction
@@ -139,10 +135,8 @@ def _toeplitz_samples(kernels: Sequence[TwoSidedKernel], n: int) -> np.ndarray:
     vals /= n
     if not (vals.min() >= 0.0 and vals.max() < math.inf):
         for row in vals:            # in stack order, each as it would alone
-            _clamp_roundoff(row[:n])
-            _clamp_roundoff(row[n:])
-            if not np.isfinite(row).all():
-                raise InvalidKernelError("non-finite kernel sample")
+            _check_samples(row[:n])
+            _check_samples(row[n:])
     return vals
 
 
@@ -168,7 +162,7 @@ def discretize(kernel: Union[KernelLike, Sequence[TwoSidedKernel]], n: int):
     A = np.empty((n, n))
     for i, t0 in enumerate(nodes):
         A[i, :] = [float(kernel(t0, tp)) for tp in nodes]
-    A = _clamp_roundoff(A)
+    _check_samples(A)
     return OperatorGrid(n=n, nodes=nodes, matrix=A / n,
                         kernel_min=float(A.min()), kernel_max=float(A.max()))
 
@@ -195,13 +189,12 @@ class RadiusResult:
         }
 
 
-def _clamp_roundoff(vals: np.ndarray) -> np.ndarray:
-    """Zero out tiny negative samples from polynomial-expansion roundoff,
-    in place.
-
-    Genuinely negative kernels are rejected; magnitudes within 1e-12 of the
-    sample scale are cancellation noise near kernel zeros.
-    """
+def _check_samples(vals: np.ndarray) -> np.ndarray:
+    """The one check of sampled kernel values, in place: a non-finite sample
+    raises, then a negative one beyond 1e-12 of the sample scale; the
+    negatives left are cancellation noise near kernel zeros and become 0."""
+    if not np.isfinite(vals).all():
+        raise InvalidKernelError("non-finite kernel sample")
     lo = float(vals.min())
     if lo >= 0.0:
         return vals
@@ -256,9 +249,9 @@ def power_iteration_hopf(grid: OperatorGrid, tol: float = 1e-8,
         nlo, nhi = _widen(float(ratios.min()), float(ratios.max()))
         nlo, nhi = max(nlo, lo, 0.0), min(nhi, hi)
         if nlo > nhi:
-            # ratio jitter exceeded the previous width: noise floor reached,
-            # the previous bracket is still a valid enclosure
-            converged = hi - lo <= tol
+            # ratio jitter exceeded the previous width: noise floor reached;
+            # the previous bracket failed the tol test, so this never converges
+            converged = False
             warning = "floating-point noise floor reached"
             break
         lo, hi = nlo, nhi

@@ -228,7 +228,8 @@ class TestBound:
         # each method prints a finite bound and the exact lam, or certifies
         # none (exit 1, no output).  ode stops at its Taylor term cap here
         # (no blow-up below about 1e-80); a smaller cap keeps that quick.
-        # Only trivial-upper reads --variant, and its magnus form reads lam
+        # Only trivial-upper reads --variant, and its magnus form reads lam;
+        # closed-form, ode and trivial-upper read no --p, closed-form no --q
         monkeypatch.setattr(magnus, "_ODE_MAX_TERMS", 60)
         plain = {"closed-form": {"lower": 921.034037198, "upper": 921.039395075},
                  "crude-ratio": {"lower": 921.034037198},
@@ -239,8 +240,9 @@ class TestBound:
             if method == "log":     # scans lam itself
                 continue
             variant = ["--variant", "magnus"] if method == "trivial-upper" else []
-            code = main(["bound", "--method", method, "--lambda", lam, "--p", "3",
-                         "--q", q, *variant])
+            p = [] if method in ("closed-form", "ode", "trivial-upper") else ["--p", "3"]
+            cls = [] if method == "closed-form" else ["--q", q]
+            code = main(["bound", "--method", method, "--lambda", lam, *p, *cls, *variant])
             cap = capsys.readouterr()
             if code == 1:
                 assert cap.out == "" and cap.err.startswith("error: "), method
@@ -305,8 +307,16 @@ class TestBound:
         (("--method", "pth-root", "--lambda", "1/3", "--gap4", "0.02"), "--gap4"),
         (("--method", "closed-form", "--variant", "magnus"), "--variant"),
         (("--method", "sicompar", "--grid", "11"), "--grid"),
-        (("--method", "log", "--p", "2", "--lambda", "1/3"), "--lambda")],
-        ids=["gap4", "variant", "grid", "lambda"])
+        (("--method", "log", "--p", "2", "--lambda", "1/3"), "--lambda"),
+        (("--method", "closed-form", "--lambda", "1/3", "--p", "7", "--tol", "1e-3",
+          "--q", "2"), "--p"),
+        (("--method", "ode", "--p", "3"), "--p"),
+        (("--method", "trivial-upper", "--p", "3"), "--p"),
+        (("--method", "closed-form", "--tol", "1e-3"), "--tol"),
+        (("--method", "sicompar", "--lambda", "1/3", "--tol", "1e-3"), "--tol"),
+        (("--method", "closed-form", "--q", "2"), "--q")],
+        ids=["gap4", "variant", "grid", "lambda", "p-tol-q", "p-ode", "p-trivial-upper",
+             "tol", "tol-sicompar", "q"])
     def test_option_of_another_method_is_usage_error(self, capsys, argv, option):
         # each was parsed and then silently ignored
         code = main(["bound", *argv])

@@ -5,7 +5,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from magrad import umqnorm
 from magrad.freealg import ascent_rows, mu_ab
@@ -20,7 +23,7 @@ from magrad.kernels import (
     reduced_kernel,
 )
 from magrad.magnus import euler_coeffs, scan_rows
-from magrad.series import series_div
+from magrad.series import horner, series_div
 from magrad.simplex import simplex_min
 from magrad.umqnorm import PLAIN, ConvexityClass, theta_ab, theta_k
 
@@ -154,6 +157,32 @@ class TestReducedKernel:
     def test_csv_rows(self):
         rows = kernel_csv_rows(reduced_kernel(2, HALF, PLAIN), samples=5)
         assert len(rows) == 5 and rows[0][0] == 0.0 and rows[-1][0] == 1.0
+
+    @pytest.mark.parametrize("samples", [2, 11, 101])
+    def test_csv_rows_are_the_scalar_samples(self, samples):
+        # one array call, bit for bit the per-point evaluation
+        rk = reduced_kernel(4, Fraction(1, 3), Q1)
+        want = [(i / (samples - 1), float(rk(i / (samples - 1)))) for i in range(samples)]
+        got = kernel_csv_rows(rk, samples)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+COEFF = st.floats(-1e3, 1e3, allow_nan=False)
+POINT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+class TestStackedHorner:
+    @given(st.lists(st.lists(COEFF, min_size=1, max_size=9), min_size=1, max_size=6),
+           st.lists(POINT, min_size=1, max_size=12))
+    def test_each_row_is_the_single_evaluation(self, polys, xs):
+        # rows of mixed degree, zero-padded at the top
+        width = max(map(len, polys))
+        stack = np.array([c + [0.0] * (width - len(c)) for c in polys])
+        x = np.array(xs + [0.0, 1.0])
+        got = horner(stack, x)
+        assert got.shape == (len(polys), len(x))
+        for row, c in zip(got, polys):
+            assert row.tobytes() == horner(c, x).tobytes()
 
 
 class TestPlainKernelAssembly:
