@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -38,9 +39,10 @@ def horner(coeffs, x):
 
 
 def float_pow(values: np.ndarray, e: float) -> np.ndarray:
-    """values**e with Python's float pow, one element at a time: numpy's
-    vectorized ** can differ from libm pow in the last bit."""
-    return np.array([v ** e for v in values.tolist()])
+    """values**e for a 1-D array with libm pow (`math.pow`), one element at
+    a time: numpy's vectorized ** can differ from it in the last bit.  A
+    negative value with a non-integer e raises ValueError."""
+    return np.fromiter(map(math.pow, values.tolist(), repeat(e)), float, len(values))
 
 
 def log_rho(lam: Fraction | float) -> float:

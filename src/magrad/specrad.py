@@ -68,6 +68,8 @@ class OperatorGrid:
 
     A Toeplitz grid keeps its first column and row and multiplies with
     `scipy.linalg.matmul_toeplitz`; any other grid keeps its dense matrix.
+    Either goes through `_check_samples`, so a non-finite or negative entry
+    raises `InvalidKernelError`.
     """
 
     n: int
@@ -78,7 +80,7 @@ class OperatorGrid:
     kernel_max: float = 0.0
 
     def __post_init__(self):
-        for vals in self.toeplitz or ():
+        for vals in self.toeplitz or (self.matrix,):
             _check_samples(vals)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:

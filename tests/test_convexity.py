@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from magrad.convexity import (
     LpSpace,
@@ -9,8 +11,11 @@ from magrad.convexity import (
     check_umq_sampled,
     _BLOCK,
     _opnorm_upper,
+    _round_off,
+    _row_sums,
     _sample,
     _trial_draws,
+    _umd,
 )
 
 
@@ -118,7 +123,7 @@ def _ref_sample(space, trials, seed, draw):
         ratio = _ref_pnorm(M @ v, p) / rhs
         if ratio > max_ratio:
             max_ratio, worst = ratio, t
-        if ratio > 1.0:
+        if ratio > 1.0 + _round_off(n):
             violations.append(t)
     return max_ratio.hex(), worst, violations
 
@@ -149,9 +154,10 @@ def _bits(report):
 
 
 class TestBlockedSampler:
-    # the benchmark's spaces; trial counts that end a block early, on its
-    # last row and one row into the next
-    @pytest.mark.parametrize("n", range(4, 9))
+    # the benchmark's spaces 4..8, the short rows 1..3 and the row sums'
+    # accumulator edges 8, 9, 15, 16, 17; trial counts that end a block
+    # early, on its last row and one row into the next
+    @pytest.mark.parametrize("n", [*range(1, 10), 15, 16, 17])
     @pytest.mark.parametrize("check", ["umd", "umq"])
     def test_matches_per_trial_loop(self, check, n):
         fn, ref = ((check_umd_sampled, _ref_umd) if check == "umd"
@@ -202,6 +208,62 @@ class TestBlockedSampler:
                                        for _ in range(4)]
                                       + [rng.standard_normal(5)])
                 assert row.tobytes() == want.tobytes()
+
+
+def _awkward(rng, shape):
+    """Signs and magnitudes from 1e-300 to 1e300, with +0.0 and subnormal
+    entries."""
+    A = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    A[rng.random(shape) < 0.2] = 0.0
+    tiny = rng.random(shape) < 0.2
+    A[tiny] = rng.integers(1, 2 ** 52, tiny.sum()) * 5e-324
+    return A
+
+
+# both sides of numpy's 128-term pairwise block
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 130), lead=st.sampled_from([(), (3,), (2, 5)]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=128, lead=(2, 5), seed=0)
+@example(n=129, lead=(2, 5), seed=0)
+def test_row_sums_are_numpys(n, lead, seed):
+    A = _awkward(np.random.default_rng(seed), (*lead, n))
+    assert _row_sums(A).tobytes() == A.sum(axis=-1).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 17), lead=st.sampled_from([(), (3, 4)]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_opnorm_upper_is_numpys(n, lead, seed):
+    A = np.abs(_awkward(np.random.default_rng(seed), (*lead, n, n)))
+    want = np.maximum(A.sum(axis=-2).max(axis=-1), A.sum(axis=-1).max(axis=-1))
+    assert np.asarray(_opnorm_upper(A)).tobytes() == want.tobytes()
+
+
+def _umd_equality(r, shrink=1.0):
+    """UMD at X = I, Y = 0, Z = W = I in every trial, where it holds with
+    equality, with the right side divided by shrink."""
+    def draw(mats, scale):
+        eq = np.zeros_like(mats)
+        eq[:, [0, 2, 3]] = np.eye(mats.shape[-1])
+        return _umd(eq, scale / shrink, r)
+    return draw
+
+
+class TestRoundOff:
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_equality_case_passes(self, p):
+        sp = LpSpace(6, p)
+        r = _sample(sp, 300, 5, _umd_equality(sp.q_prime))
+        assert r.passed and abs(r.max_ratio - 1.0) <= _round_off(6)
+        # a plain ratio > 1 would flag round-off at p = 1.5 and 3
+        assert (r.max_ratio > 1.0) == (p != 2.0)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_shrunk_right_side_is_caught(self, p):
+        sp = LpSpace(6, p)
+        r = _sample(sp, 300, 5, _umd_equality(sp.q_prime, shrink=1.01))
+        assert r.violations == list(range(300))
 
 
 # (check, n, p, seed, max_ratio.hex(), worst_trial, violations) of 200 trials,

@@ -23,7 +23,7 @@ from magrad.kernels import (
     reduced_kernel,
 )
 from magrad.magnus import euler_coeffs, scan_rows
-from magrad.series import horner, series_div
+from magrad.series import float_pow, horner, series_div
 from magrad.simplex import simplex_min
 from magrad.umqnorm import PLAIN, ConvexityClass, theta_ab, theta_k
 
@@ -183,6 +183,19 @@ class TestStackedHorner:
         assert got.shape == (len(polys), len(x))
         for row, c in zip(got, polys):
             assert row.tobytes() == horner(c, x).tobytes()
+
+
+class TestFloatPow:
+    @pytest.mark.parametrize("e", [3, 0.25, 1 / 3, 1.5, 2 / 3])
+    def test_is_python_pow_bit_for_bit(self, e):
+        v = np.array([0.0, 5e-324, 2.2e-308, 0.1, 1.0, 2.0, 1e100, np.inf, np.nan])
+        for x in (v, -v[:7]) if e == 3 else (v,):
+            want = [y ** e for y in x.tolist()]
+            assert float_pow(x, e).tobytes() == np.array(want).tobytes()
+
+    def test_negative_base_with_fractional_exponent_raises(self):
+        with pytest.raises(ValueError):
+            float_pow(np.array([-8.0, 2.0]), 1 / 3)
 
 
 class TestPlainKernelAssembly:

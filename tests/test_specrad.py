@@ -146,6 +146,12 @@ class TestToeplitzMatvec:
             OperatorGrid(n=2, nodes=nodes,
                          toeplitz=(np.array([1.0, np.nan]), np.array([1.0, 0.5])))
 
+    @pytest.mark.parametrize("bad", [-5.0, np.nan])
+    def test_dense_grid_samples_checked(self, bad):
+        # [[1, -5], [1, 1]] / 2 has radius 1.22 but a Hopf bracket of 0.5
+        with pytest.raises(InvalidKernelError):
+            matrix_grid(np.array([[1.0, bad], [1.0, 1.0]]) / 2)
+
 
 class TestPowerIteration:
     def test_constant_kernel_collapses_immediately(self):
