@@ -17,6 +17,13 @@ cross-operation quasi-monomial; where their signs align with it (the factor
 c3 = lam^2-lam+1/6 negative, c2^2 = (lam-1/2)^2 positive) the universal norm
 drops below ell^1 by 4*min(c2^2, |c3|)*(1-kappa) times the common factor,
 and the threshold scan pushes past C2.
+
+The scan walks s down from the top of its range to the first s whose sup
+over the lam grid of ell^1^3 - gain has a cube root below 1.  Above the
+threshold a row needs no maximum: one column whose value is >= 1 (the
+argmax of the last row computed in full) already shows the root is >= 1,
+since a faithful pow cannot round the cube root of a value >= 1 below 1.0.
+So each class computes about two of the grid's rows in full.
 """
 
 from __future__ import annotations
@@ -99,19 +106,22 @@ def _coeff_rows() -> np.ndarray:
 
 
 def _lam_table(lams) -> _LamTable:
-    """Columns evaluated at mu = min(lam, 1-lam).
+    """Columns evaluated at mu = min(lam, 1-lam), one per lam of a 1-D
+    sequence, or a single column for one float lam.
 
     |c_n|, c2^2, c3 and lam(1-lam) are invariant under lam <-> 1-lam, and
     1-lam is exact in floats for lam >= 1/2.  Float Horner of the c_n loses
     every digit near lam = 1 (coefficients up to ~1e3, c_24(1) = 1/24!),
     but not near 0; on [0, 1/2] mu = lam.  All rows go through one stacked
-    `horner`, bit for bit as per polynomial.
+    `horner`, bit for bit as per polynomial; one float lam keeps its mu
+    0-d there, which spares each Horner step a broadcast.
     """
-    lams = np.array([float(l) for l in lams])
+    lams = np.asarray(lams, dtype=float)
     if not np.all((0.0 <= lams) & (lams <= 1.0)):
         raise ValueError("lam must lie in [0, 1]")
     mus = np.minimum(lams, 1.0 - lams)
-    rows = horner(_coeff_rows(), mus)
+    rows = horner(_coeff_rows(), mus).reshape(-1, lams.size)
+    lams = lams.reshape(-1)
     pref = lams * (1.0 - lams)
     return _LamTable(abs_c=np.abs(rows[:_N + 1]), c2sq=rows[_N + 1],
                      c3=rows[_N + 2], pref=pref, pref3=float_pow(pref, 3))
@@ -128,12 +138,14 @@ def _abs_series_sums(t: _LamTable, x: float) -> tuple:
     The tail rate comes from an envelope over a window of orders: robust
     against isolated coefficient zeros (even orders vanish at lam = 1/2,
     and individual c_n(lam) have accidental roots).  Rows add in order, as
-    Python's sum over one point does; numpy's pairwise sum moves last bits.
+    Python's sum over one point does: `np.add.accumulate` along the rows
+    is that order, where numpy's `sum` may reduce pairwise and move last
+    bits.
     """
     if not 0.0 <= x < math.pi:
         raise ValueError("x1, x2 must lie in [0, pi)")
     T = t.abs_c * np.array([x ** n for n in range(_N + 1)])[:, None]
-    head = sum(T[2:], T[1])
+    head = np.add.accumulate(T[1:], axis=0)[-1]
     t_hi = np.maximum(T[_N - 1], T[_N])
     t_lo = np.maximum(T[_N - 1 - _TAIL_WINDOW], T[_N - _TAIL_WINDOW])
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -158,7 +170,7 @@ def _upsilon(t: _LamTable, x1: float, x2: float) -> tuple:
 
 def upsilon_l1(lam: float, x1: float, x2: float) -> UpsilonL1:
     """lam*(1-lam) * (sum |c_n| x1^n) * (sum |c_n| x2^n) with tail majorants."""
-    *sums, ok = (v[0] for v in _upsilon(_lam_table([lam]), x1, x2))
+    *sums, ok = (v[0] for v in _upsilon(_lam_table(lam), x1, x2))
     return UpsilonL1(*map(float, sums), conclusive=bool(ok), lam=lam, x=(x1, x2))
 
 
@@ -189,17 +201,11 @@ def upsilon_power_component(n: int, degrees: tuple) -> NCPoly:
     return NCPoly(terms)
 
 
-# the four degree-(3,5) words reachable by one cross operation, and its mirror
+# the four degree-(3,5) words reachable by one cross operation
 def cross_term_35() -> QuasiMonomial:
     """Y1 Y2 * Xi(Y2, Y1, Y2*Y1, Y2) * Y2."""
     y1, y2 = leaf(1), leaf(2)
     return prod([y1, y2, xi(y2, y1, prod([y2, y1]), y2), y2])
-
-
-def cross_term_53() -> QuasiMonomial:
-    """Y1 * Xi(Y1, Y2*Y1, Y2, Y1) * Y1 Y2 (the transposed, relabeled mirror)."""
-    y1, y2 = leaf(1), leaf(2)
-    return prod([y1, xi(y1, prod([y2, y1]), y2, y1), y1, y2])
 
 
 def _aligned_words() -> tuple:
@@ -226,21 +232,26 @@ class GainReport:
     diagnostic: Optional[str] = None
 
 
-def _gain(t: _LamTable, cls: ConvexityClass, x1: float, x2: float) -> tuple:
-    """(gain, aligned) in every column of the table.
+def _gain(t: _LamTable, cls: ConvexityClass) -> tuple:
+    """(unit, aligned) in every column of the table; the gain at (x1, x2)
+    is unit * `_cross_powers(x1, x2)`.
 
     When the (3,5) signs align (c3 < 0 < c2^2) the cross-term peels off
     4*min(c2^2, |c3|)*(1-kappa) times lam^3 (1-lam)^3 x1^3 x2^5, and the
     mirrored (5,3) component contributes the same with x-powers swapped.
     The gain uses the upper kappa endpoint, so the bound l1^3 - gain stays
-    valid for enclosed kappa.
+    valid for enclosed kappa.  Where it does not apply, unit is +0, and so
+    is its product with the finite, nonnegative cross powers.
     """
     one_minus_kappa = 1.0 - float(cls.kappa_hi)
     aligned = (t.c3 < 0.0) & (0.0 < t.c2sq)
     unit = 4.0 * np.minimum(t.c2sq, -t.c3) * one_minus_kappa * t.pref3
-    gain = np.where(aligned & (one_minus_kappa > 0.0),
-                    unit * (x1 ** 3 * x2 ** 5 + x1 ** 5 * x2 ** 3), 0.0)
-    return gain, aligned
+    return np.where(aligned & (one_minus_kappa > 0.0), unit, 0.0), aligned
+
+
+def _cross_powers(x1: float, x2: float) -> float:
+    """x1^3 x2^5 + x1^5 x2^3, the x-dependence of both mirrors' gains."""
+    return x1 ** 3 * x2 ** 5 + x1 ** 5 * x2 ** 3
 
 
 def _cube_bound(t: _LamTable, cls: ConvexityClass, x1: float,
@@ -248,14 +259,14 @@ def _cube_bound(t: _LamTable, cls: ConvexityClass, x1: float,
     """(l1, l1^3, gain, conclusive, aligned) in every column of the table;
     ell^1 of Ups^3 factorizes as l1^3."""
     value, _, _, _, ok = _upsilon(t, x1, x2)
-    gain, aligned = _gain(t, cls, x1, x2)
-    return value, float_pow(value, 3), gain, ok, aligned
+    unit, aligned = _gain(t, cls)
+    return value, float_pow(value, 3), unit * _cross_powers(x1, x2), ok, aligned
 
 
 def bch_gain_upper(lam: float, cls: ConvexityClass, x1: float,
                    x2: float) -> GainReport:
     """Upper bound on the universal norm of Ups^3 at one (lam, x1, x2)."""
-    t = _lam_table([lam])
+    t = _lam_table(lam)
     value, l1c, gain, ok, aligned = (v[0] for v in _cube_bound(t, cls, x1, x2))
     diagnostic = None
     if not aligned:
@@ -316,18 +327,34 @@ def c2_improved(cls: ConvexityClass) -> C2ScanResult:
 
     The walk starts at the top of the scan and stops at the first s whose
     root is below 1, the answer of a full upward scan.  At each s the cached
-    class-free column l1^3 (`_scan_cube`) less this class's gain gives the
-    grid values.  Bounded refinement never returns less than the grid
-    maximum, so it runs only where it can decide: a grid root in
-    (1 - 1e-4, 1).  With the plain class the gain vanishes and this
-    reproduces the C2 threshold to grid resolution; with a genuine cross
-    cost the threshold moves strictly past C2.
+    class-free column l1^3 (`_scan_cube`) less this class's gain row, hoisted
+    out of the walk as unit * `_cross_powers(x, x)`, gives the grid values.
+    Bounded refinement never returns less than the grid maximum, so it runs
+    only where it can decide: a grid root in (1 - 1e-4, 1).  With the plain
+    class the gain vanishes and this reproduces the C2 threshold to grid
+    resolution; with a genuine cross cost the threshold moves strictly
+    past C2.
+
+    A row is decided by one witness column, the argmax j of the last row
+    computed in full: if its value is >= 1, so is the row's maximum (the
+    values are finite or +inf, never NaN), and a faithful libm pow cannot
+    round the cube root of a value >= 1 below the float 1.0; such a row
+    neither stops nor refines the walk, and its other columns are skipped.
+    A witness below 1 or NaN sends the row through the full pass, whose
+    argmax becomes the next witness.  The argmax stays near the peak lam
+    ~0.3587, so each class computes about two rows in full.
     """
     points = _scan_points()
+    unit = _gain(_grid_table(), cls)[0]
+    j = None
     for i in reversed(range(len(points))):
         x = points[i] / 2.0
-        vals = _scan_cube(i) - _gain(_grid_table(), cls, x, x)[0]
-        root = _cube_root(vals.max())
+        cube, cross = _scan_cube(i), _cross_powers(x, x)
+        if j is not None and cube[j] - unit[j] * cross >= 1.0:
+            continue
+        vals = cube - unit * cross
+        j = int(np.argmax(vals))
+        root = _cube_root(float(vals[j]))
         if root < 1.0 and 1.0 - root < 1e-4:
             sup, _ = refine_max(lambda l: bch_gain_upper(float(l), cls, x, x).bound,
                                 _LAM_GRID, vals)

@@ -200,13 +200,24 @@ METHOD_OPTIONS = {
 }
 
 
-def cmd_bound(args) -> int:
-    for dest, (option, methods, default) in METHOD_OPTIONS.items():
+def _unread_option(args, options, reads):
+    """Give each option of `options` (dest -> (option, its readers, default))
+    that parsed to None its default, and return the dest of the first one
+    given whose readers `reads` rejects, or None."""
+    for dest, (_, readers, default) in options.items():
         if getattr(args, dest) is None:
             setattr(args, dest, default)
-        elif args.method not in methods:
-            print(f"error: --method {args.method} takes no {option}", file=sys.stderr)
-            return 2
+        elif not reads(readers):
+            return dest
+    return None
+
+
+def cmd_bound(args) -> int:
+    dest = _unread_option(args, METHOD_OPTIONS, lambda ms: args.method in ms)
+    if dest:
+        print(f"error: --method {args.method} takes no {METHOD_OPTIONS[dest][0]}",
+              file=sys.stderr)
+        return 2
     _emit(BOUND_METHODS[args.method](args).to_jsonable(), args)
     return 0
 
@@ -221,7 +232,23 @@ def cmd_scan(args) -> int:
     return 0 if ok else 1
 
 
+#: `bch` options that only some modes read: dest -> (option, the modes that
+#: read it, its default), as METHOD_OPTIONS is for `bound`
+BCH_OPTIONS = {
+    "lam": ("--lambda", ("--l1", "--gain"), Fraction(1, 2)),
+    "x1": ("--x1", ("--l1", "--gain"), 1.0),
+    "x2": ("--x2", ("--l1", "--gain"), 1.0),
+    "q": ("--q", ("--gain", "--scan-c2"), PLAIN),
+}
+
+
 def cmd_bch(args) -> int:
+    dest = _unread_option(args, BCH_OPTIONS, lambda modes: any(
+        getattr(args, m[2:].replace("-", "_")) for m in modes))
+    if dest:
+        option, modes, _ = BCH_OPTIONS[dest]
+        print(f"error: bch {option} needs {' or '.join(modes)}", file=sys.stderr)
+        return 2
     payload = {"q": args.q.describe()}
     if args.scan_c2:
         r = bch_mod.c2_improved(args.q)
@@ -340,13 +367,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("bch", help="two-variable resolvent-product bounds")
     _add_common(sp)
-    sp.add_argument("--x1", type=float, default=1.0)
-    sp.add_argument("--x2", type=float, default=1.0)
+    sp.add_argument("--x1", type=float, default=None)
+    sp.add_argument("--x2", type=float, default=None)
     sp.add_argument("--l1", action="store_true")
     sp.add_argument("--gain", action="store_true")
     sp.add_argument("--scan-c2", action="store_true")
     sp.add_argument("--critical-lambda", action="store_true")
-    sp.set_defaults(fn=cmd_bch)
+    # --q, --lambda, --x1 and --x2 parse to None too (see BCH_OPTIONS)
+    sp.set_defaults(fn=cmd_bch, q=None, lam=None, x1=None, x2=None)
 
     sp = add("verify-convexity", help="sampled operator-inequality checks")
     sp.add_argument("--p", type=_parse_fraction, default=Fraction(2),

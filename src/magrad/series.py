@@ -23,12 +23,14 @@ def horner(coeffs, x):
     else with the coefficients as floats.  A float ndarray x is evaluated
     elementwise, bit for bit as the scalar loop at each element (the same
     IEEE multiply and add in the same order).  A 2-D float `coeffs` stacks
-    polynomials one per row, zero-padded at the top, and gives one row of
-    values each from one in-place pass, bit for bit `horner(row, x)` at
-    x >= 0 (a padding zero stays +0, as the scalar start x * 0 does)."""
+    polynomials one per row, zero-padded at the top, and gives the values
+    of each, shape (rows,) + x.shape, from one in-place pass, bit for bit
+    `horner(row, x)` at x >= 0 (a padding zero stays +0, as the scalar start
+    x * 0 does)."""
     if isinstance(coeffs, np.ndarray) and coeffs.ndim == 2:
-        acc = np.zeros((len(coeffs), np.size(x)))
-        for c in coeffs.T[::-1, :, None]:
+        x = np.asarray(x, dtype=float)
+        acc = np.zeros(coeffs.shape[:1] + x.shape)
+        for c in coeffs.T[::-1].reshape(coeffs.shape[::-1] + (1,) * x.ndim):
             acc *= x
             acc += c
         return acc
@@ -58,16 +60,16 @@ def log_rho(lam: Fraction | float) -> float:
 
 
 def refine_max(f, xs, vals, xatol: float = 1e-10) -> tuple:
-    """(max, argmax) of f: the largest of the grid values vals = f(xs), then
-    bounded Brent between its two neighbours; the better value wins, with
-    the argument where it was reached (Brent's on a tie)."""
+    """(max, argmax) of f as Python floats: the largest of the grid values
+    vals = f(xs), then bounded Brent between its two neighbours; the better
+    value wins, with the argument where it was reached (Brent's on a tie)."""
     i = int(np.argmax(vals))
     lo, hi = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, len(xs) - 1)])
     res = minimize_scalar(lambda t: -f(t), bounds=(lo, hi), method="bounded",
                           options={"xatol": xatol})
     if -res.fun >= vals[i]:
-        return -res.fun, float(res.x)
-    return vals[i], float(xs[i])
+        return float(-res.fun), float(res.x)
+    return float(vals[i]), float(xs[i])
 
 
 def compositions(total: int, parts: int):

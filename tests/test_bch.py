@@ -4,7 +4,10 @@ import math
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from magrad import bch
 from magrad.bch import (
@@ -12,7 +15,6 @@ from magrad.bch import (
     bch_gain_upper,
     c2_improved,
     cross_term_35,
-    cross_term_53,
     max_upsilon_l1,
     resolvent_series,
     upsilon_l1,
@@ -20,7 +22,7 @@ from magrad.bch import (
 )
 from magrad.freealg import LambdaPoly, eval_lambda, l1_norm
 from magrad.series import refine_max
-from magrad.umqnorm import PLAIN, ConvexityClass, fa_norm_upper
+from magrad.umqnorm import PLAIN, ConvexityClass, fa_norm_upper, leaf, prod, xi
 
 Q1 = ConvexityClass.from_q(1)
 Q2 = ConvexityClass.from_q(2)
@@ -168,6 +170,13 @@ class TestPowerComponents:
             assert c3(lam) < 0 < c2sq(lam)
 
 
+def cross_term_53():
+    """Y1 * Xi(Y1, Y2*Y1, Y2, Y1) * Y1 Y2: the transposed, relabeled mirror
+    of `cross_term_35`, whose gain `bch._gain` counts a second time."""
+    y1, y2 = leaf(1), leaf(2)
+    return prod([y1, xi(y1, prod([y2, y1]), y2, y1), y1, y2])
+
+
 class TestCrossTerms:
     def test_support_and_signs(self):
         p35 = cross_term_35().evaluate()
@@ -283,6 +292,33 @@ class TestPinnedBits:
             assert l1c[i] - gain[i] == bch_gain_upper(lam, Q1, x, x).bound
 
 
+LAM = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1e-300, 5e-324]),
+                st.floats(0.0, 1.0))
+X = st.floats(0.0, math.pi, exclude_max=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(LAM, min_size=1, max_size=12), X, X,
+       st.sampled_from(sorted(CLASSES)))
+@example([0.0, 0.5, 1.0, 1e-300, 5e-324], 1.449, 1.449, "q2")
+@example([0.3587, 0.805], 0.0, 2.0, "q1")
+def test_points_equal_columns_of_one_table(lams, x1, x2, q):
+    # the one-point path (0-d Horner, in-order row sums) against the
+    # columns of one table built for every lam together, bit for bit
+    table = bch._lam_table(lams)
+    value, head, tail1, tail2, ok = bch._upsilon(table, x1, x2)
+    l1, l1c, gain, ok3, aligned = bch._cube_bound(table, CLASSES[q], x1, x2)
+    for i, lam in enumerate(lams):
+        u = upsilon_l1(lam, x1, x2)
+        g = bch_gain_upper(lam, CLASSES[q], x1, x2)
+        got = [u.value, u.head, u.tail1, u.tail2, g.l1, g.l1_cubed, g.gain, g.bound]
+        want = [value[i], head[i], tail1[i], tail2[i], l1[i], l1c[i], gain[i],
+                l1c[i] - gain[i]]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert (u.conclusive, g.conclusive, g.aligned, g.diagnostic is None) \
+            == (ok[i], ok3[i], aligned[i], bool(aligned[i]))
+
+
 def full_scan(cls):
     """The upward scan over every s, refining wherever the grid root lies
     within 1e-4 of 1: the oracle of the downward walk in c2_improved."""
@@ -328,17 +364,22 @@ class TestScanWalk:
     def test_walk_equals_full_scan(self, q):
         cls = self.cls_of(q)
         r = c2_improved(cls)
-        got = (float.hex(r.value), float.hex(float(r.sup_at_value)))
+        got = (float.hex(r.value), float.hex(r.sup_at_value))
         want_value, want_sup = full_scan(cls)
         assert got == (float.hex(want_value), float.hex(float(want_sup)))
         assert got == self.PINNED[q]
+
+    def test_results_are_python_floats(self):
+        r = c2_improved(Q2)
+        assert all(type(v) is float for v in (r.value, r.margin, r.sup_at_value))
+        x = C2_REFERENCE / 2
+        assert all(type(v) is float for v in max_upsilon_l1(x, x))
 
     def test_independent_of_call_order(self):
         bch._scan_cube.cache_clear()
         for q in (2, None):
             r = c2_improved(self.cls_of(q))
-            assert (float.hex(r.value), float.hex(float(r.sup_at_value))) \
-                == self.PINNED[q]
+            assert (float.hex(r.value), float.hex(r.sup_at_value)) == self.PINNED[q]
 
     def test_column_cache_holds_one_entry_per_scan_point(self):
         for q in self.PINNED:

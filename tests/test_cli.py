@@ -435,6 +435,19 @@ class TestBch:
     def test_needs_a_task(self, capsys):
         assert main(["bch"]) == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        (("--scan-c2", "--lambda", "0.3"), "--lambda needs --l1 or --gain"),
+        (("--critical-lambda", "--x1", "1.2"), "--x1 needs --l1 or --gain"),
+        (("--scan-c2", "--x2", "1.2"), "--x2 needs --l1 or --gain"),
+        (("--critical-lambda", "--q", "2"), "--q needs --gain or --scan-c2"),
+        (("--l1", "--q", "2"), "--q needs --gain or --scan-c2")],
+        ids=["lambda-scan-c2", "x1-critical", "x2-scan-c2", "q-critical", "q-l1"])
+    def test_option_no_mode_reads_is_usage_error(self, capsys, argv, message):
+        # each was parsed and then silently ignored
+        code = main(["bch", *argv])
+        cap = capsys.readouterr()
+        assert code == 2 and cap.out == "" and cap.err == f"error: bch {message}\n"
+
 
 class TestVerify:
     def test_convexity_subcommand(self, capsys):

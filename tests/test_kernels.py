@@ -183,6 +183,9 @@ class TestStackedHorner:
         assert got.shape == (len(polys), len(x))
         for row, c in zip(got, polys):
             assert row.tobytes() == horner(c, x).tobytes()
+        # a 0-d x gives one column of the same bits
+        for k, xk in enumerate(x):
+            assert horner(stack, xk).tobytes() == got[:, k].tobytes()
 
 
 class TestFloatPow:
