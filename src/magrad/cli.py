@@ -101,6 +101,9 @@ def _norm_payload(value) -> dict:
 def cmd_theta(args) -> int:
     cls = args.q
     lam = args.lam
+    if args.k is not None and (args.a is not None or args.b is not None):
+        print("error: theta --k takes no --a or --b", file=sys.stderr)
+        return 2
     if args.k is not None:
         val = theta_k(args.k, lam, cls)
     else:

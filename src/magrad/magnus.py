@@ -200,7 +200,7 @@ def blowup_bracket(lam, corrections: Sequence[tuple] = ()) -> BlowupBracket:
     """
     gaps = _gaps(corrections)
     if not 0 < lam < 1:
-        raise ValueError("lam must lie in [0, 1]")
+        raise ValueError("lam must lie in (0, 1)")
     lam = Fraction(lam)
     mu = lam * (1 - lam)
     c = {0: -mu}

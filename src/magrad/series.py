@@ -62,8 +62,12 @@ def log_rho(lam: Fraction | float) -> float:
 def refine_max(f, xs, vals, xatol: float = 1e-10) -> tuple:
     """(max, argmax) of f as Python floats: the largest of the grid values
     vals = f(xs), then bounded Brent between its two neighbours; the better
-    value wins, with the argument where it was reached (Brent's on a tie)."""
+    value wins, with the argument where it was reached (Brent's on a tie).
+    An infinite grid maximum is returned at its first grid point unrefined,
+    since Brent cannot compare infinite values."""
     i = int(np.argmax(vals))
+    if vals[i] == np.inf:
+        return float(vals[i]), float(xs[i])
     lo, hi = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, len(xs) - 1)])
     res = minimize_scalar(lambda t: -f(t), bounds=(lo, hi), method="bounded",
                           options={"xatol": xatol})

@@ -2,12 +2,12 @@
 
 Solves  min c^T x  s.t.  A x = b, x >= 0  entirely over `fractions.Fraction`,
 in one phase: the start basis is one unit column per row, which every LP
-built here has (its monomial columns).  Pivots follow Dantzig's rule,
-switching to Bland's rule after a run of degenerate pivots, so termination
-is guaranteed.  The data stay sparse throughout: A and every tableau row map
-a column to its nonzero entries, so a pivot touches only the rows with a
+built here has (its monomial columns).  One pivot rule serves every LP:
+Dantzig's entering column and the lexicographic leaving row of Dantzig,
+Orden and Wolfe, which cannot cycle, so termination is guaranteed.  The data
+stay sparse throughout: A, every tableau row and the reduced-cost row map a
+column to its nonzero entries, so a pivot touches only the rows with a
 nonzero in the pivot column and, in each, only the pivot row's nonzeros.
-Only the reduced-cost row is dense.
 """
 
 from __future__ import annotations
@@ -30,9 +30,10 @@ class SimplexResult:
     x: list          # primal solution, length n
     y: list          # dual values, one per constraint row
     basis: list      # final basic column indices (original numbering)
+    pivots: int      # pivots taken from the start basis
 
 
-def _pivot(rows, zrow, r, s):
+def _pivot(rows, r, s):
     prow = rows[r]
     inv = 1 / prow[s]
     for j in prow:
@@ -45,53 +46,42 @@ def _pivot(rows, zrow, r, s):
                     row[j] = v
                 else:
                     del row[j]
-    f = zrow[s]
-    if f:
-        for j, p in prow.items():
-            zrow[j] -= f * p
 
 
-_BLAND_AFTER = 40  # degenerate pivots tolerated before switching to Bland's rule
+def _optimize(rows, basis, start, n):
+    """Pivot loop; returns the number of pivots.
 
-
-def _optimize(rows, zrow, basis):
-    """Pivot loop: Dantzig rule, falling back to Bland's rule on stalls.
-
-    Dantzig's most-negative-coefficient rule keeps iteration counts low;
-    after a run of degenerate pivots we switch to Bland's rule, which cannot
-    cycle, so termination is guaranteed either way.
+    `rows` holds the m constraint rows, with the right-hand side under key
+    n, and then the reduced-cost row, with minus the objective under key n.
+    The entering column has the most negative reduced cost, the lowest index
+    on ties.  The leaving row minimises (b_i, row i of B^-1) / a_i
+    lexicographically over the rows with a_i > 0, where a is the entering
+    column and B^-1 is read off the `start` unit columns in row order; each
+    later key is computed only for the rows tied on all earlier ones.  The
+    rows of B^-1 are independent, so exactly one row survives.  Every row of
+    (b, B^-1) stays lexicographically positive, so each pivot strictly
+    raises the objective row's (b, B^-1) part lexicographically and no
+    basis repeats (Dantzig, Orden and Wolfe, 1955).
     """
-    ncols = len(zrow) - 1
-    stalled = 0
+    *cons, z = rows
+    pivots = 0
     while True:
-        enter = -1
-        if stalled < _BLAND_AFTER:
-            best_z = 0
-            for j in range(ncols):
-                if zrow[j] < best_z:
-                    best_z = zrow[j]
-                    enter = j
-        else:
-            for j in range(ncols):
-                if zrow[j] < 0:
-                    enter = j
-                    break
+        _, enter = min(((v, j) for j, v in z.items() if j < n and v < 0),
+                       default=(0, -1))
         if enter < 0:
-            return
-        leave, best = -1, None
-        for i, row in enumerate(rows):
-            a = row.get(enter, 0)
-            if a > 0:
-                ratio = row.get(ncols, 0) / a
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    leave, best = i, ratio
-        if leave < 0:
+            return pivots
+        ties = [i for i, row in enumerate(cons) if row.get(enter, 0) > 0]
+        if not ties:
             raise Unbounded("objective unbounded below")
-        stalled = stalled + 1 if best == 0 else 0
-        basis[leave] = enter
-        _pivot(rows, zrow, leave, enter)
+        for col in (n, *start):
+            ratio = {i: cons[i].get(col, 0) / cons[i][enter] for i in ties}
+            least = min(ratio.values())
+            ties = [i for i in ties if ratio[i] == least]
+            if len(ties) == 1:
+                break
+        basis[ties[0]] = enter
+        _pivot(rows, ties[0], enter)
+        pivots += 1
 
 
 def simplex_min(A, b, c) -> SimplexResult:
@@ -128,17 +118,18 @@ def simplex_min(A, b, c) -> SimplexResult:
         if costs[u]:
             for j, v in row.items():
                 zrow[j] -= costs[u] * v
+    z = {j: v for j, v in enumerate(zrow) if v}
     basis = list(start)
-    _optimize(rows, zrow, basis)
+    pivots = _optimize(rows + [z], basis, start, n)
 
     x = [Fraction(0)] * n
     for row, bi in zip(rows, basis):
         x[bi] = row.get(n, Fraction(0))
     value = sum((costs[j] * x[j] for j in basis), Fraction(0))
     # a start column u = e_i has reduced cost c_u - y_i; undo the row flips
-    y = [costs[u] - zrow[u] for u in start]
+    y = [costs[u] - z.get(u, 0) for u in start]
     y = [-yi if f else yi for yi, f in zip(y, flipped)]
-    return SimplexResult(value=value, x=x, y=y, basis=basis)
+    return SimplexResult(value=value, x=x, y=y, basis=basis, pivots=pivots)
 
 
 def verify_certificate(A, b, c, res: SimplexResult) -> bool:

@@ -1,6 +1,7 @@
 """Resolvent-product series, block components, and the threshold scans."""
 
 import math
+import warnings
 from fractions import Fraction
 from math import factorial
 
@@ -120,6 +121,13 @@ class TestUpsilonL1:
         mx, arg = max_upsilon_l1(C2_REFERENCE / 2, C2_REFERENCE / 2)
         assert mx == pytest.approx(1.0, abs=1e-4)
         assert 0.35865 <= min(arg, 1 - arg) <= 0.35866
+
+    def test_infinite_peak_is_not_refined(self):
+        # past the threshold 13 grid tails from lam = 0.388 on are
+        # inconclusive; Brent on +inf warned and stopped anywhere
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert max_upsilon_l1(3.04, 3.04) == (math.inf, 0.388)
 
 
 class TestPowerComponents:

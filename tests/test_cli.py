@@ -45,6 +45,15 @@ class TestTheta:
         code = main(["theta"])
         assert code == 2
 
+    @pytest.mark.parametrize("ab", [("--a", "1", "--b", "3"), ("--a", "1"),
+                                    ("--b", "3")])
+    def test_k_with_ab_is_usage_error(self, capsys, ab):
+        # Theta_4 = 25/216 was printed with --a/--b silently ignored
+        code = main(["theta", "--k", "4", *ab, "--lambda", "1/3"])
+        cap = capsys.readouterr()
+        assert code == 2 and cap.out == ""
+        assert cap.err == "error: theta --k takes no --a or --b\n"
+
     def test_lambda_must_be_rational(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["theta", "--k", "2", "--lambda", "abc"])

@@ -177,6 +177,12 @@ class TestOdeBlowup:
         assert br.lo < 2 < br.hi
         assert br.lo < ode_blowup(0.5) < br.hi
 
+    @pytest.mark.parametrize("lam", [0, 1, Fraction(-1, 2), 1.5])
+    def test_bracket_needs_open_interval(self, lam):
+        # at lam in {0, 1} there is no blow-up to bracket (c_plain is inf)
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
+            blowup_bracket(lam)
+
     def test_first_order_correction_closed_form(self):
         # gap 1/2 at k = 1: T' = ((T + 2)^2 - 2)/4, blowing up at
         # sqrt(2) * log(3 + 2*sqrt(2)) = 2*sqrt(2)*asinh(1)

@@ -4,8 +4,9 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from magrad import simplex
 from magrad.freealg import eval_lambda, mu_ab
 from magrad.simplex import SimplexError, simplex_min, verify_certificate
 from magrad.umqnorm import ConvexityClass, fa_norm_exact
@@ -55,15 +56,51 @@ class TestSimplexMin:
             simplex_min(A, b, [1] * n)
 
 
-class TestBlandRule:
-    # Theta_ab(1/3) as Dantzig's rule solves them (tests/test_cli.py reads
-    # 23/486 through `magrad theta`)
+class TestPivotRule:
+    # Chvatal's LP ("Linear Programming", 1983, ch. 3): Dantzig's rule with
+    # a lowest-basis-index tie-break cycles on it, and switching to Bland's
+    # rule after 40 degenerate pivots ends it in 43.  Only row 2 has b != 0.
+    CYCLE_A = [{0: F(1, 2), 1: F(-11, 2), 2: F(-5, 2), 3: 9, 4: 1},
+               {0: F(1, 2), 1: F(-3, 2), 2: F(-1, 2), 3: 1, 5: 1},
+               {0: 1, 6: 1}]
+    CYCLE_b = [0, 0, 1]
+    CYCLE_c = [-10, 57, 9, 24, 0, 0, 0]
+
+    def test_cycling_lp_ends_in_three_pivots(self):
+        res = simplex_min(self.CYCLE_A, self.CYCLE_b, self.CYCLE_c)
+        assert res.value == -1
+        assert res.pivots <= 3
+        assert verify_certificate(self.CYCLE_A, self.CYCLE_b, self.CYCLE_c, res)
+
+    # Theta_ab(1/3) at degrees 4 and 5 (tests/test_cli.py reads 23/486
+    # through `magrad theta`); fa_norm_exact raises unless the certificate
+    # verifies
     @pytest.mark.parametrize("a,b,want", [(2, 2, F(23, 486)), (1, 4, F(11, 729))])
-    def test_bland_from_the_start_reaches_dantzigs_optimum(self, monkeypatch,
-                                                           a, b, want):
-        # with no degenerate pivot tolerated every entering column is
-        # chosen by Bland's rule; fa_norm_exact raises unless the
-        # certificate verifies
-        monkeypatch.setattr(simplex, "_BLAND_AFTER", 0)
+    def test_theta_values_at_one_third(self, a, b, want):
         target = eval_lambda(mu_ab(a, b), F(1, 3))
         assert fa_norm_exact(target, Q1).value / factorial(a + b) == want
+
+
+@st.composite
+def degenerate_lps(draw):
+    """A small LP with a unit-column start and a mostly zero b.
+
+    Each of the m random rows has its own slack column; a last row caps the
+    sum of the k structural columns, so every LP has an optimum.  Most b_i
+    are 0, so many rows tie in the ratio test.
+    """
+    m, k = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    A = [{**{j: v for j in range(k) if (v := draw(st.integers(-3, 3)))},
+          k + i: 1} for i in range(m)]
+    A.append({**dict.fromkeys(range(k), 1), k + m: 1})
+    b = [draw(st.sampled_from([0, 0, 0, 1, 2])) for _ in range(m)]
+    b.append(draw(st.integers(1, 3)))
+    c = [draw(st.integers(-4, 4)) for _ in range(k + m + 1)]
+    return A, b, c
+
+
+@settings(max_examples=300, deadline=None)
+@given(degenerate_lps())
+def test_degenerate_lps_end_with_a_certificate(lp):
+    res = simplex_min(*lp)
+    assert verify_certificate(*lp, res)
