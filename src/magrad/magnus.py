@@ -31,7 +31,7 @@ from scipy.optimize import brentq
 
 from .kernels import plain_reduced_kernel, reduced_kernel
 from .series import horner, log_rho, refine_max
-from .specrad import UnconvergedError, radii_refined, radius_refined
+from .specrad import UnconvergedError, radii_refined
 from .umqnorm import ConvexityClass
 
 #: blowup_bracket starts at _ODE_TERMS Taylor terms, grows them by half up to
@@ -40,10 +40,6 @@ from .umqnorm import ConvexityClass
 _ODE_TERMS, _ODE_MAX_TERMS, _ODE_SCAN = 40, 400, 256
 _LAM_TOL = 1e-6
 _T_GRID = 2001
-
-#: scan_rows hands its lam grid's kernels to `radii_refined` this many at a
-#: time, which keeps each stacked pass's arrays under about 1 MB
-_SCAN_CHUNK = 32
 
 
 def c_plain(lam: Union[Fraction, float]) -> float:
@@ -290,27 +286,24 @@ def _root_bound(w: float, p: int) -> float:
     return math.inf if w == 0 else (1.0 / w) ** (1.0 / p)
 
 
-def _settled_radius(p_minus_1: int, lam: Fraction, res) -> float:
-    """The radius of a refined result; UnconvergedError, naming p-1 and lam,
-    when the grid refinement did not settle."""
-    if not res.converged:
-        raise UnconvergedError(f"p-1 = {p_minus_1}, lam = {Fraction(lam)}: {res.warning}")
-    return res.radius
-
-
-def _kernel_radius(p_minus_1: int, lam: Fraction, cls: ConvexityClass,
-                   tol: float = 1e-8) -> float:
-    """Spectral radius of the degree p-1 estimating kernel at one lam;
-    UnconvergedError when the grid refinement did not settle."""
-    res = radius_refined(reduced_kernel(p_minus_1, lam, cls).two_sided(), tol=tol)
-    return _settled_radius(p_minus_1, lam, res)
+def _kernel_radii(p_minus_1: int, lams: Sequence[Fraction], cls: ConvexityClass,
+                  tol: float) -> list:
+    """Spectral radii of the degree p-1 estimating kernels at each lam, from
+    one `radii_refined` call; UnconvergedError, naming p-1 and the first lam
+    whose grid refinement did not settle."""
+    kernels = [reduced_kernel(p_minus_1, lam, cls).two_sided() for lam in lams]
+    results = radii_refined(kernels, tol)
+    for lam, res in zip(lams, results):
+        if not res.converged:
+            raise UnconvergedError(f"p-1 = {p_minus_1}, lam = {Fraction(lam)}: {res.warning}")
+    return [res.radius for res in results]
 
 
 def c_bound_pth_root(lam, p: int, cls: ConvexityClass,
                      tol: float = 1e-8) -> BoundReport:
     """Lower bound (1/r)^(1/p) from the degree p-1 kernel radius at lam."""
     lamF = Fraction(lam)
-    r = _kernel_radius(p - 1, lamF, cls, tol=tol)
+    r = _kernel_radii(p - 1, [lamF], cls, tol)[0]
     return BoundReport(method="pth-root-kernel", q=cls.describe(),
                        lam=lamF, p=p, lower=_root_bound(r, p),
                        details={"kernel_radius": r, "p_minus_1": p - 1})
@@ -326,7 +319,7 @@ def c_log_bound(p: int, cls: ConvexityClass, grid: int = 101,
     """
     def w_of(lam_float: float) -> float:
         lamF = Fraction(lam_float).limit_denominator(10 ** 9)
-        return _kernel_radius(p - 1, lamF, cls, tol=radius_tol)
+        return _kernel_radii(p - 1, [lamF], cls, radius_tol)[0]
 
     lams, ws, _ = zip(*scan_rows(p, cls, grid, radius_tol))
     w_max, lam_star = refine_max(w_of, lams, ws, xatol=_LAM_TOL)
@@ -405,22 +398,14 @@ def ricompar_bound(lam, p: int, cls: ConvexityClass) -> BoundReport:
 def scan_rows(p: int, cls: ConvexityClass, grid: int = 41,
               radius_tol: float = 1e-7) -> list:
     """(lam, kernel radius, pointwise bound) rows at `grid` equally spaced
-    lam in [0, 1/2], both ends included.
-
-    The kernels go to `radii_refined` _SCAN_CHUNK at a time, so each grid
-    level is one numpy pass per chunk; UnconvergedError names the first lam,
-    in grid order, whose radius did not settle."""
+    lam in [0, 1/2], both ends included, from one `_kernel_radii` call;
+    UnconvergedError names the first lam, in grid order, whose radius did
+    not settle."""
     if grid < 2:
         raise ValueError("grid must be >= 2")
     lams = [Fraction(k, 2 * (grid - 1)) for k in range(grid)]
-    rows = []
-    for i in range(0, grid, _SCAN_CHUNK):
-        chunk = lams[i:i + _SCAN_CHUNK]
-        stack = [reduced_kernel(p - 1, lam, cls).two_sided() for lam in chunk]
-        for lam, res in zip(chunk, radii_refined(stack, tol=radius_tol)):
-            w = _settled_radius(p - 1, lam, res)
-            rows.append((float(lam), w, _root_bound(w, p)))
-    return rows
+    return [(float(lam), w, _root_bound(w, p))
+            for lam, w in zip(lams, _kernel_radii(p - 1, lams, cls, radius_tol))]
 
 
 def lipschitz_logodds_check(bounds: Sequence[tuple]) -> bool:

@@ -23,9 +23,10 @@ integration.  Its first grid, of 2*REFINE_N0 points, gives the first two
 levels, since its even entries are exactly the REFINE_N0-point grid's
 samples; each further level samples one doubled grid.
 
-Every level is one numpy pass over the whole stack: `discretize` takes the
-stack's Toeplitz vectors from one Horner pass of the reduced kernels (they
-share a degree) at sample points cached per n, and the level sums run along
+`radii_refined` takes any number of kernels of one degree, REFINE_STACK
+at a time, and every level is one numpy pass over such a stack:
+`discretize` takes the stack's Toeplitz vectors from one Horner pass of the
+reduced kernels at sample points cached per n, and the level sums run along
 the stack's rows.  Each kernel meets the same IEEE operations in the same
 order as alone, so a kernel's radius is bit for bit the same in any stack;
 kernels that settle leave the stack before the next grid.
@@ -272,6 +273,10 @@ def power_iteration_hopf(grid: OperatorGrid, tol: float = 1e-8,
 REFINE_N0 = 256
 REFINE_DOUBLINGS = 5
 
+#: `radii_refined` samples at most this many kernels per grid, which keeps
+#: each stacked pass's arrays under about 1 MB
+REFINE_STACK = 32
+
 _HALF = Fraction(1, 2)
 
 
@@ -310,13 +315,12 @@ def _perron_levels(kernels: Sequence[TwoSidedKernel], log_rhos: np.ndarray,
     return levels
 
 
-def radius_refined(kernel: TwoSidedKernel, tol: float = 1e-6) -> RadiusResult:
+def radius_refined(kernel: TwoSidedKernel, tol: float) -> RadiusResult:
     """Radius of one two-sided kernel: `radii_refined` of the stack of one."""
     return radii_refined((kernel,), tol)[0]
 
 
-def radii_refined(kernels: Sequence[TwoSidedKernel],
-                  tol: float = 1e-6) -> list:
+def radii_refined(kernels: Sequence[TwoSidedKernel], tol: float) -> list:
     """One RadiusResult per two-sided kernel, by lam:
 
     - lam = 1/2: the kernel is convolution type and its radius is
@@ -342,10 +346,11 @@ def radii_refined(kernels: Sequence[TwoSidedKernel],
       its radius is the extrapolant, not that grid's eigenvalue.  Run
       `power_iteration_hopf` on a grid for one.
 
-    Every grid is sampled once for all kernels still unsettled, so the
-    kernels must share one degree; a kernel's result is bit for bit the one
-    it gets alone.  The stack's arrays grow with its size times the grid,
-    about 16 KB per kernel on the first grid.
+    The kernels must share one degree.  They go through the levels
+    REFINE_STACK at a time, and each grid is sampled once for the kernels of
+    that stack still unsettled; a kernel's result is bit for bit the one it
+    gets alone.  A stack's arrays take about 16 KB per kernel on the first
+    grid.
 
     `tol` must be finite and > 0; a lam outside [0, 1] raises
     InvalidKernelError before any grid is sampled, as one branch of that
@@ -365,31 +370,28 @@ def radii_refined(kernels: Sequence[TwoSidedKernel],
             results[i] = RadiusResult(radius=0.0, bracket=(0.0, 0.0), iterations=0)
         else:
             stack.append(i)
-    idx = np.array(stack, dtype=int)
-    log_rhos = np.array([log_rho(kernels[i].lam) for i in stack])
-    values, last = [], None
-    n, top = (2 * REFINE_N0 if REFINE_DOUBLINGS else REFINE_N0), REFINE_N0 << REFINE_DOUBLINGS
-    while idx.size:
-        for level_n, mu in _perron_levels([kernels[i] for i in idx], log_rhos, n):
-            values.append(mu)
-            # Richardson table along the diagonal, one entry per kernel
-            row = values
-            for order in range(1, len(values)):
-                f = float(2 ** order)
-                row = [(f * row[j + 1] - row[j]) / (f - 1.0) for j in range(len(row) - 1)]
-            converged = (np.zeros(idx.size, dtype=bool) if last is None
-                         else np.abs(row[0] - last) <= tol)
-            last = row[0]
-        keep = ~converged & (n < top)
-        for j in (~keep).nonzero()[0]:
-            ok, mu_j = bool(converged[j]), float(mu[j])
-            results[idx[j]] = RadiusResult(
-                radius=float(last[j]), bracket=(mu_j, mu_j), iterations=0,
-                converged=ok, n=level_n, warning=None if ok else
-                "doubling budget exhausted before extrapolants settled")
-        if not keep.any():
-            break
-        idx, log_rhos, last = idx[keep], log_rhos[keep], last[keep]
-        values = [v[keep] for v in values]
-        n *= 2
+    top = REFINE_N0 << REFINE_DOUBLINGS
+    for s in range(0, len(stack), REFINE_STACK):
+        idx = np.array(stack[s:s + REFINE_STACK])
+        log_rhos = np.array([log_rho(kernels[i].lam) for i in idx])
+        diag, n = [], (2 * REFINE_N0 if REFINE_DOUBLINGS else REFINE_N0)
+        while idx.size:
+            for level_n, mu in _perron_levels([kernels[i] for i in idx], log_rhos, n):
+                # the Richardson table's last antidiagonal, one entry per
+                # kernel: mu, then orders 1, 2, ... eliminated in turn
+                prev, diag = diag, [mu]
+                for order, coarse in enumerate(prev, 1):
+                    f = float(2 ** order)
+                    diag.append((f * diag[-1] - coarse) / (f - 1.0))
+            converged = np.abs(diag[-1] - prev[-1]) <= tol if prev else np.zeros(idx.size, bool)
+            keep = ~converged & (n < top)
+            for j in (~keep).nonzero()[0]:
+                ok, mu_j = bool(converged[j]), float(mu[j])
+                results[idx[j]] = RadiusResult(
+                    radius=float(diag[-1][j]), bracket=(mu_j, mu_j), iterations=0,
+                    converged=ok, n=level_n, warning=None if ok else
+                    "doubling budget exhausted before extrapolants settled")
+            idx, log_rhos = idx[keep], log_rhos[keep]
+            diag = [d[keep] for d in diag]
+            n *= 2
     return results

@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +11,7 @@ import numpy as np
 import pytest
 
 import magrad
-from magrad import magnus, specrad
+from magrad import specrad
 from magrad.cli import main
 from magrad.kernels import plain_reduced_kernel, reduced_kernel
 from magrad.magnus import (
@@ -381,39 +380,6 @@ class TestScan:
             scan_rows(3, PLAIN, grid=41)
         assert str(exc.value) == ("p-1 = 2, lam = 1/80: doubling budget "
                                   "exhausted before extrapolants settled")
-
-    def test_names_the_first_unconverged_lambda_of_a_later_chunk(self, monkeypatch):
-        # the radii from lam = 13/80 on are flagged; lam = 13/80 sits in the
-        # fourth chunk of four kernels
-        radii = magnus.radii_refined
-
-        def flagging(stack, tol):
-            return [replace(r, converged=False, warning=f"flag {two.lam}")
-                    if two.lam >= Fraction(13, 80) else r
-                    for two, r in zip(stack, radii(stack, tol))]
-
-        monkeypatch.setattr(magnus, "_SCAN_CHUNK", 4)
-        monkeypatch.setattr(magnus, "radii_refined", flagging)
-        with pytest.raises(specrad.UnconvergedError) as exc:
-            scan_rows(3, PLAIN, grid=41)
-        assert str(exc.value) == "p-1 = 2, lam = 13/80: flag 13/80"
-
-    def test_grids_are_sampled_once_per_chunk(self, monkeypatch):
-        # the work-count guard of the stacked levels: a p = 5 scan at grid
-        # 101 settles every lam off {0, 1/2} on the first grid, so its 99
-        # kernel grids take one `discretize` per chunk, not one per lam
-        sizes = []
-        disc = specrad.discretize
-
-        def counting(kernels, n):
-            sizes.append(n)
-            return disc(kernels, n)
-
-        monkeypatch.setattr(specrad, "discretize", counting)
-        rows = scan_rows(5, PLAIN, grid=101, radius_tol=1e-8)
-        assert len(rows) == 101
-        assert sizes == [2 * specrad.REFINE_N0] * len(sizes)
-        assert len(sizes) <= math.ceil(99 / magnus._SCAN_CHUNK)
 
     def test_bound_report_invariant(self):
         with pytest.raises(AssertionError):

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from scipy.linalg import matmul_toeplitz
 
-from magrad import specrad
+from magrad import magnus, specrad
 from magrad.kernels import (ReducedKernel, TwoSidedKernel, plain_reduced_kernel,
                             reduced_kernel)
-from magrad.magnus import _kernel_radius, c_bound_pth_root, w_plain
+from magrad.magnus import c_bound_pth_root, w_plain
 from magrad.specrad import (
     InvalidKernelError,
     InvalidUseError,
@@ -25,6 +25,11 @@ from magrad.umqnorm import PLAIN, ConvexityClass
 
 Q1 = ConvexityClass.from_q(1)
 CLASSES = {"plain": PLAIN, "1": Q1, "2": ConvexityClass.from_q(2)}
+
+
+def kernel_radius(p_minus_1, lam, cls) -> float:
+    """The degree p-1 kernel radius at lam as the p-th-root bound takes it."""
+    return c_bound_pth_root(lam, p_minus_1 + 1, cls).details["kernel_radius"]
 
 
 def matrix_grid(A) -> OperatorGrid:
@@ -88,7 +93,7 @@ class TestDiscretize:
         stack = [plain_reduced_kernel(1, Fraction(1, 3)).two_sided(), two]
         run = {"stack": lambda: discretize(stack, 8),
                "two-sided": lambda: discretize(two, 8),
-               "radius": lambda: radius_refined(two),
+               "radius": lambda: radius_refined(two, tol=1e-8),
                "callable": lambda: discretize(lambda s, t: bad if s == t else 1.0, 8)}[route]
         with pytest.raises(InvalidKernelError, match="^non-finite kernel sample$"):
             run()
@@ -249,10 +254,9 @@ class TestConvolutionRadius:
         assert (res.radius, res.bracket, res.converged) == (r, (r, r), True)
 
     def test_constant_half_point_kernel(self):
-        assert _kernel_radius(4, Fraction(1, 2), Q1) == float(Fraction(5, 192))
+        assert kernel_radius(4, Fraction(1, 2), Q1) == float(Fraction(5, 192))
 
     def test_plain_degree_zero(self):
-        assert _kernel_radius(0, Fraction(1, 2), PLAIN) == 0.5
         r = c_bound_pth_root(Fraction(1, 2), 1, PLAIN)
         assert r.details["kernel_radius"] == 0.5 and r.lower == 2.0
 
@@ -260,11 +264,11 @@ class TestConvolutionRadius:
         for p_minus_1, lam, cls in ((0, Fraction(1, 3), PLAIN),
                                     (4, Fraction(1, 3), Q1)):
             two = reduced_kernel(p_minus_1, lam, cls).two_sided()
-            assert _kernel_radius(p_minus_1, lam, cls) \
+            assert kernel_radius(p_minus_1, lam, cls) \
                 == radius_refined(two, tol=1e-8).radius
         two = reduced_kernel(4, Fraction(1, 2), Q1).two_sided()
         assert radius_refined(two, tol=1e-8).radius == pytest.approx(
-            _kernel_radius(4, Fraction(1, 2), Q1), abs=1e-8)
+            kernel_radius(4, Fraction(1, 2), Q1), abs=1e-8)
 
 
 class TestRadiusRefined:
@@ -303,7 +307,7 @@ class TestRadiusRefined:
 
         monkeypatch.setattr(specrad, "discretize", no_grid)
         for q, cls in CLASSES.items():
-            res = radius_refined(reduced_kernel(pm1, Fraction(lam), cls).two_sided())
+            res = radius_refined(reduced_kernel(pm1, Fraction(lam), cls).two_sided(), tol=1e-8)
             assert (res.radius, res.bracket, res.converged, res.iterations) == (
                 0.0, (0.0, 0.0), True, 0), q
 
@@ -315,7 +319,7 @@ class TestRadiusRefined:
         monkeypatch.setattr(specrad, "discretize", None)
         two = reduced_kernel(2, Fraction(lam), CLASSES[q]).two_sided()
         with pytest.raises(InvalidKernelError, match=r"outside \[0, 1\]"):
-            radius_refined(two)
+            radius_refined(two, tol=1e-8)
 
     def test_budget_exhaustion_flag(self, monkeypatch):
         monkeypatch.setattr(specrad, "REFINE_N0", 32)
@@ -469,10 +473,10 @@ class TestPerronStart:
         res = radius_refined(two, tol=1e-8)
         assert math.isfinite(res.radius) and res.radius > 0
         if res.converged:
-            assert _kernel_radius(0, Fraction(5e-324), PLAIN) == res.radius
+            assert kernel_radius(0, Fraction(5e-324), PLAIN) == res.radius
         else:
             with pytest.raises(specrad.UnconvergedError):
-                _kernel_radius(0, Fraction(5e-324), PLAIN)
+                kernel_radius(0, Fraction(5e-324), PLAIN)
 
     @pytest.mark.parametrize("lam", [Fraction(1, 10 ** 400), 1 - Fraction(1, 10 ** 400)])
     def test_lambda_that_rounds_to_an_endpoint(self, lam):
@@ -483,7 +487,7 @@ class TestPerronStart:
         assert c_bound_pth_root(lam, 3, PLAIN).lower == pytest.approx(862.010318775, rel=1e-11)
         # degree 0 runs out of doublings, as at lam = 1e-300
         with pytest.raises(specrad.UnconvergedError):
-            _kernel_radius(0, lam, PLAIN)
+            kernel_radius(0, lam, PLAIN)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_bad_tol_rejected(self, tol):
@@ -573,7 +577,8 @@ class TestStackedLevels:
 
     def test_settled_kernels_leave_the_stack(self, monkeypatch):
         # at this tol the kernels settle on every grid from the first to the
-        # last, and each grid samples only those still unsettled
+        # last, and each grid samples only those still unsettled; the cap is
+        # raised so that all 39 kernels off lam in {0, 1/2} form one stack
         sampled = []
         disc = specrad.discretize
 
@@ -582,12 +587,50 @@ class TestStackedLevels:
             return disc(kernels, n)
 
         monkeypatch.setattr(specrad, "discretize", counting)
+        monkeypatch.setattr(specrad, "REFINE_STACK", 39)
         got = radii_refined(self._stack("plain", 2), tol=1e-14)
         n0 = specrad.REFINE_N0
         assert [n for n, _ in sampled] == [2 * n0 << i for i in range(5)]
         settled = [sum(r.n == n for r in got) for n, _ in sampled]
         assert min(settled) > 0
         assert [m for _, m in sampled] == [39 - sum(settled[:i]) for i in range(5)]
+
+    def test_scan_grid_takes_one_grid_per_stack(self, monkeypatch):
+        # the work-count guard of the stacked levels: a p = 5 scan at grid
+        # 101 settles every lam off {0, 1/2} on the first grid, so its 99
+        # kernels take one `discretize` per stack of at most REFINE_STACK
+        sampled = []
+        disc = specrad.discretize
+
+        def counting(kernels, n):
+            sampled.append((n, len(kernels)))
+            return disc(kernels, n)
+
+        stack = [reduced_kernel(4, Fraction(k, 200), PLAIN).two_sided() for k in range(101)]
+        monkeypatch.setattr(specrad, "discretize", counting)
+        got = radii_refined(stack, tol=1e-8)
+        n0 = specrad.REFINE_N0
+        assert specrad.REFINE_STACK == 32
+        assert sampled == [(2 * n0, 32)] * 3 + [(2 * n0, 3)]
+        monkeypatch.setattr(specrad, "discretize", disc)
+        want = [radius_refined(two, tol=1e-8) for two in stack]
+        assert list(map(self._fields, got)) == list(map(self._fields, want))
+
+    def test_names_the_first_unconverged_lambda_of_a_later_stack(self, monkeypatch):
+        # with one doubling at tol 1e-12, the plain degree-2 radii settle
+        # for lam = k/80 from k = 13 up and not below; listed from k = 39
+        # down in stacks of four, the first unsettled lam, 12/80, sits in
+        # the seventh stack
+        monkeypatch.setattr(specrad, "REFINE_DOUBLINGS", 1)
+        monkeypatch.setattr(specrad, "REFINE_STACK", 4)
+        lams = [Fraction(k, 80) for k in range(39, 0, -1)]
+        with pytest.raises(specrad.UnconvergedError) as exc:
+            magnus._kernel_radii(2, lams, PLAIN, 1e-12)
+        assert str(exc.value) == ("p-1 = 2, lam = 3/20: doubling budget "
+                                  "exhausted before extrapolants settled")
+        assert magnus._kernel_radii(2, lams[:27], PLAIN, 1e-12) == [
+            radius_refined(reduced_kernel(2, lam, PLAIN).two_sided(), tol=1e-12).radius
+            for lam in lams[:27]]
 
     @pytest.mark.parametrize("doublings", [0, 1])
     def test_unconverged_flags_match(self, monkeypatch, doublings):
@@ -609,24 +652,24 @@ class TestStackedLevels:
     def test_bad_kernel_in_a_stack_raises_as_alone(self, coeffs):
         bad = ReducedKernel(coeffs=coeffs, lam=Fraction(1, 3), p_minus_1=1).two_sided()
         with pytest.raises(InvalidKernelError) as alone:
-            radius_refined(bad)
+            radius_refined(bad, tol=1e-8)
         stack = [plain_reduced_kernel(1, Fraction(k, 9)).two_sided() for k in range(1, 9)]
         stack.insert(5, bad)
         with pytest.raises(InvalidKernelError) as stacked:
-            radii_refined(stack)
+            radii_refined(stack, tol=1e-8)
         assert str(stacked.value) == str(alone.value)
         assert ("negative" if coeffs[1] < 0 else "non-finite") in str(alone.value)
 
     def test_stack_needs_one_degree(self):
         stack = [plain_reduced_kernel(d, Fraction(1, 3)).two_sided() for d in (2, 3)]
         with pytest.raises(InvalidUseError, match="one degree"):
-            radii_refined(stack)
+            radii_refined(stack, tol=1e-8)
 
     def test_lambda_outside_unit_interval_raises_before_sampling(self, monkeypatch):
         monkeypatch.setattr(specrad, "discretize", None)
         stack = [plain_reduced_kernel(2, Fraction(k, 4)).two_sided() for k in (1, 2, 5)]
         with pytest.raises(InvalidKernelError, match=r"lam = 5/4 outside \[0, 1\]"):
-            radii_refined(stack)
+            radii_refined(stack, tol=1e-8)
 
     def test_stack_vectors_are_the_single_grids(self):
         stack = [reduced_kernel(3, lam, Q1).two_sided() for lam in self.GRID[1:6]]
