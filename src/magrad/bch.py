@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .freealg import LambdaPoly, NCPoly
-from .series import compositions, float_pow, horner, refine_max, series_div
+from .series import compositions, float_pow, horner, log_odds, refine_max, series_div
 from .umqnorm import ConvexityClass, QuasiMonomial, leaf, prod, xi
 
 #: cumulative BCH radius in the plain case (8 verified digits)
@@ -113,8 +113,8 @@ def _lam_table(lams) -> _LamTable:
     1-lam is exact in floats for lam >= 1/2.  Float Horner of the c_n loses
     every digit near lam = 1 (coefficients up to ~1e3, c_24(1) = 1/24!),
     but not near 0; on [0, 1/2] mu = lam.  All rows go through one stacked
-    `horner`, bit for bit as per polynomial; one float lam keeps its mu
-    0-d there, which spares each Horner step a broadcast.
+    `horner`, bit for bit as per polynomial; a point query's `log_odds` mu
+    stays 0-d there, which spares each Horner step a broadcast.
     """
     lams = np.asarray(lams, dtype=float)
     if not np.all((0.0 <= lams) & (lams <= 1.0)):
@@ -168,9 +168,9 @@ def _upsilon(t: _LamTable, x1: float, x2: float) -> tuple:
     return value, t.pref * h1 * h2, t1, t2, ok
 
 
-def upsilon_l1(lam: float, x1: float, x2: float) -> UpsilonL1:
+def upsilon_l1(lam, x1: float, x2: float) -> UpsilonL1:
     """lam*(1-lam) * (sum |c_n| x1^n) * (sum |c_n| x2^n) with tail majorants."""
-    *sums, ok = (v[0] for v in _upsilon(_lam_table(lam), x1, x2))
+    *sums, ok = (v[0] for v in _upsilon(_lam_table(log_odds(lam)[0]), x1, x2))
     return UpsilonL1(*map(float, sums), conclusive=bool(ok), lam=lam, x=(x1, x2))
 
 
@@ -263,10 +263,10 @@ def _cube_bound(t: _LamTable, cls: ConvexityClass, x1: float,
     return value, float_pow(value, 3), unit * _cross_powers(x1, x2), ok, aligned
 
 
-def bch_gain_upper(lam: float, cls: ConvexityClass, x1: float,
+def bch_gain_upper(lam, cls: ConvexityClass, x1: float,
                    x2: float) -> GainReport:
     """Upper bound on the universal norm of Ups^3 at one (lam, x1, x2)."""
-    t = _lam_table(lam)
+    t = _lam_table(log_odds(lam)[0])
     value, l1c, gain, ok, aligned = (v[0] for v in _cube_bound(t, cls, x1, x2))
     diagnostic = None
     if not aligned:

@@ -262,7 +262,7 @@ def cmd_bch(args) -> int:
         mx, arg = bch_mod.max_upsilon_l1(x, x)
         payload.update({"criticalLambda": min(arg, 1.0 - arg), "maxL1": mx})
     if args.l1 or args.gain:
-        lam, x1, x2 = float(args.lam), args.x1, args.x2
+        lam, x1, x2 = args.lam, args.x1, args.x2
         ups = bch_mod.upsilon_l1(lam, x1, x2)
         payload.update({"l1": ups.value, "conclusive": ups.conclusive})
         if args.gain:

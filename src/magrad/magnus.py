@@ -7,7 +7,7 @@ route, and the trivial cost-relaxation upper bounds.
 
 lam enters every bound exactly, as a Fraction or as a float (which converts
 exactly), and the ends 0 and 1 are tested on that value: a lam such as
-10**-400, whose float is 0.0, gets its finite bound from `series.log_rho`,
+10**-400, whose float is 0.0, gets its finite bound from `series.log_odds`,
 and its report prints the exact str(lam).
 
 The blow-up of the Riccati ODE is certified without an ODE solver: the
@@ -30,7 +30,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .kernels import plain_reduced_kernel, reduced_kernel
-from .series import horner, log_rho, refine_max
+from .series import horner, log_odds, log_rho, refine_max
 from .specrad import UnconvergedError, radii_refined
 from .umqnorm import ConvexityClass
 
@@ -43,30 +43,22 @@ _T_GRID = 2001
 
 
 def c_plain(lam: Union[Fraction, float]) -> float:
-    """Closed-form radius 2*artanh(1-2*lam)/(1-2*lam) = log_rho(lam)/(1-2*lam);
-    inf at lam in {0, 1} exactly, 2 where float(lam) is 1/2 (the radius is
-    2 + O((1-2*lam)^2) there)."""
-    if not 0 <= lam <= 1:
-        raise ValueError("lam must lie in [0, 1]")
-    if lam == 0 or lam == 1:
-        return math.inf
-    x = 1.0 - 2.0 * float(lam)
-    return 2.0 if x == 0.0 else log_rho(lam) / x
+    """Closed-form radius 2*artanh(1-2*lam)/(1-2*lam) = L/(1-2*g), both from
+    `log_odds`' one g; inf at lam in {0, 1} exactly, 2 where g rounds to 1/2
+    (the radius is 2 + O((1-2*lam)^2) there)."""
+    g, L, _ = log_odds(lam)
+    x = 1.0 - 2.0 * g
+    return 2.0 if x == 0.0 else L / x
 
 
 def w_plain(lam: Union[Fraction, float]) -> float:
     """1/c_plain(lam), the plain kernel's spectral radius; 0 at lam in {0, 1}."""
-    c = c_plain(lam)
-    return 0.0 if math.isinf(c) else 1.0 / c
+    return 1.0 / c_plain(lam)
 
 
 def c_eps(lam: Union[Fraction, float]) -> float:
-    """Entire-resolvent radius hypot(pi, log_rho(lam)); inf at lam in {0, 1}."""
-    if not 0 <= lam <= 1:
-        raise ValueError("lam must lie in [0, 1]")
-    if lam == 0 or lam == 1:
-        return math.inf
-    return math.hypot(math.pi, log_rho(lam))
+    """Entire-resolvent radius hypot(pi, L), L from `log_odds`; inf at the ends."""
+    return math.hypot(math.pi, log_odds(lam)[1])
 
 
 def _gaps(corrections: Sequence[tuple]) -> dict:
@@ -409,16 +401,13 @@ def scan_rows(p: int, cls: ConvexityClass, grid: int = 41,
 
 
 def lipschitz_logodds_check(bounds: Sequence[tuple]) -> bool:
-    """Continuity safety net: |C(l1) - C(l2)| <= |logit(l1) - logit(l2)|.
+    """Continuity safety net: |C(l1) - C(l2)| <= |log_rho(l1) - log_rho(l2)|.
 
     Takes (lam, C) pairs with lam in (0, 1); used as a validation check on
     scan output, not for search.
     """
-    def logit(l):
-        return math.log(l / (1.0 - l))
-
     pts = sorted((l, c) for l, c in bounds if 0.0 < l < 1.0 and math.isfinite(c))
     for (l1, c1), (l2, c2) in zip(pts, pts[1:]):
-        if abs(c1 - c2) > abs(logit(l1) - logit(l2)) + 1e-9:
+        if abs(c1 - c2) > abs(log_rho(l1) - log_rho(l2)) + 1e-9:
             return False
     return True

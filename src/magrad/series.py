@@ -3,9 +3,9 @@
 Series are plain lists indexed by power, length N+1 for truncation order N,
 with Fraction or `LambdaPoly` coefficients.  Division requires an invertible
 constant term.  Also here: the one Horner evaluator, the one elementwise
-libm pow, the one log((1-lam)/lam), the compositions of an integer, in the
-lexicographic order that fixes LP column order, and the one grid-then-Brent
-maximizer behind every sup over lam or t.
+libm pow, the one log((1-lam)/lam) (`log_odds`), the compositions of an
+integer, in the lexicographic order that fixes LP column order, and the one
+grid-then-Brent maximizer behind every sup over lam or t.
 """
 
 from __future__ import annotations
@@ -47,16 +47,30 @@ def float_pow(values: np.ndarray, e: float) -> np.ndarray:
     return np.fromiter(map(math.pow, values.tolist(), repeat(e)), float, len(values))
 
 
+def log_odds(lam: Fraction | float) -> tuple:
+    """(g, L, sign) with log((1-lam)/lam) = sign*L for an exact or float lam
+    in [0, 1], the one log-odds of the package: g = min(lam, 1-lam) rounded
+    once, as m/d for lam = n/d and m = min(n, d-n) (exact for a float lam,
+    correctly rounded for a Fraction); L = log1p(-g) - log(g) >= 0 ((1-g)/g
+    overflows for subnormal g), log(d-m) - log(m) where g rounds to 0, inf
+    at the ends; sign = -1 above 1/2.  ValueError outside [0, 1]."""
+    g, sign = float(lam), 1
+    if not 0.0 < g < 0.5:
+        # integer tests, cheaper than a Fraction's; (-1, 1) fails nan and inf
+        n, d = lam.as_integer_ratio() if 0.0 <= g <= 1.0 else (-1, 1)
+        if not 0 <= n <= d:
+            raise ValueError("lam must lie in [0, 1]")
+        m = min(n, d - n)
+        g, sign = m / d, (1 if m == n else -1)
+        if g == 0.0:
+            return g, (math.log(d - m) - math.log(m) if m else math.inf), sign
+    return g, math.log1p(-g) - math.log(g), sign
+
+
 def log_rho(lam: Fraction | float) -> float:
-    """log rho = log((1-lam)/lam) for an exact or float lam strictly inside
-    (0, 1): log1p(-f) - log(f) when f = float(lam) lies in (0, 1) (the
-    quotient (1-f)/f overflows for subnormal f), else, for a lam = n/d whose
-    float is 0 or 1, log(d-n) - log(n) from its integer terms."""
-    f = float(lam)
-    if 0.0 < f < 1.0:
-        return math.log1p(-f) - math.log(f)
-    lam = Fraction(lam)
-    return math.log(lam.denominator - lam.numerator) - math.log(lam.numerator)
+    """log rho = log((1-lam)/lam) = sign*L from `log_odds`; +-inf at the ends."""
+    _, L, sign = log_odds(lam)
+    return sign * L
 
 
 def refine_max(f, xs, vals, xatol: float = 1e-10) -> tuple:

@@ -17,6 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import bch, convexity, kernels, magnus, specrad
+from .series import horner
 from .umqnorm import PLAIN, ConvexityClass, theta_ab, theta_k
 
 #: blow-up abscissa of the corrected characteristic ODE at lam = 1/2 with the
@@ -48,8 +49,7 @@ def _trunc3(x: float) -> float:
 
 
 def _kernel4_formula(a: int, b: int, lam: Fraction, kappa: Fraction) -> Fraction:
-    """The three displayed degree-4 norm polynomials (and their mirrors);
-    with kappa = 1 (the plain class) lam may also be a numpy grid."""
+    """The three displayed degree-4 norm polynomials (and their mirrors)."""
     if (a, b) == (3, 1):
         return _kernel4_formula(1, 3, 1 - lam, kappa)
     if (a, b) == (4, 0):
@@ -65,8 +65,6 @@ def _kernel4_formula(a: int, b: int, lam: Fraction, kappa: Fraction) -> Fraction
         gain = 4
     else:
         raise ValueError((a, b))
-    if kappa == 1:
-        return plain / 24
     gain *= lam * (1 - lam) * min(lam, 1 - lam)
     return (plain - (1 - kappa) * gain) / 24
 
@@ -192,9 +190,8 @@ def check_maglower() -> tuple[bool, str]:
         lams = np.clip(np.arange(lam_lo, lam_hi + 1e-12, 1e-3), lam_lo, lam_hi)
         ts = np.linspace(-1.0, 1.0, 2001)
         L, T = np.meshgrid(lams, ts, indexing="ij")
-        tt = np.where(T >= 0, T, T + 1.0)
-        ktilde = sum(_kernel4_formula(a, 4 - a, L, 1) * math.comb(4, a)
-                     * (1 - tt) ** a * tt ** (4 - a) for a in range(5))
+        stack = np.array([kernels.plain_reduced_kernel(4, lam).fcoeffs for lam in lams])
+        ktilde = horner(stack, np.where(ts >= 0, ts, ts + 1.0))
         kplain = np.where(T >= 0, L * ktilde, (1.0 - L) * ktilde)
         bvals = np.vectorize(kernels.b_correction)(L, T)
         return float((bvals / kplain).min())

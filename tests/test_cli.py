@@ -229,6 +229,25 @@ class TestBound:
         if method == "pth-root":
             assert data["lower"] == pytest.approx(862.010318775, rel=1e-11)
 
+    @pytest.mark.parametrize("argv", [
+        ("bound", "--method", "closed-form"),
+        ("bound", "--method", "pth-root", "--q", "plain", "--p", "3"),
+        ("bound", "--method", "crude-ratio"),
+        ("bch", "--l1", "--gain", "--q", "1", "--x1", "1.4", "--x2", "1.5")],
+        ids=["closed-form", "pth-root", "crude-ratio", "bch"])
+    @pytest.mark.parametrize("near_one,near_zero", [
+        ("0.999999999999", "0.000000000001"), ("0.999999999", "0.000000001")])
+    def test_lambda_near_one_prints_its_mirror(self, capsys, argv, near_one, near_zero):
+        # every output is symmetric under lam <-> 1-lam; 1 - lam comes from
+        # lam's integers, so it keeps the digits that float(lam) drops
+        outs = []
+        for lam in (near_one, near_zero):
+            code, out = run(capsys, *argv, "--lambda", lam)
+            data = json.loads(out)
+            data.pop("lam", None)
+            outs.append((code, data))
+        assert outs[0] == outs[1]
+
     @pytest.mark.parametrize("q", ["plain", "1"])
     @pytest.mark.parametrize("lam", ["1e-400", str(1 - Fraction(1, 10 ** 400))])
     def test_every_method_takes_lambda_exactly_at_the_float_ends(

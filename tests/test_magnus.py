@@ -34,7 +34,7 @@ from magrad.magnus import (
     upper_trivial,
     w_plain,
 )
-from magrad.series import horner, log_rho, refine_max, series_div
+from magrad.series import horner, log_odds, log_rho, refine_max, series_div
 from magrad.umqnorm import PLAIN, ConvexityClass, theta_ab
 
 Q1 = ConvexityClass.from_q(1)
@@ -77,11 +77,46 @@ class TestClosedForms:
 
 class TestLogRho:
     def test_float_branch_is_log1p_minus_log(self):
+        # below 1/2, log1p(-f) - log(f) of f = float(lam); above, the same of
+        # g = min(lam, 1-lam), negated: g is 1 - f for a float (exact) and
+        # the one rounding of 1 - lam for a Fraction
         for k in range(1, 1009):
             lam = Fraction(k, 1009)
             f = float(lam)
-            assert log_rho(lam) == log_rho(f) == math.log1p(-f) - math.log(f)
+            if k <= 504:
+                assert log_rho(lam) == log_rho(f) == math.log1p(-f) - math.log(f)
+            else:
+                g = 1 - f
+                assert log_rho(f) == -(math.log1p(-g) - math.log(g))
+                assert log_rho(lam) == -log_rho(1 - lam)
         assert log_rho(5e-324) == math.log1p(-5e-324) - math.log(5e-324)
+
+    def test_log_odds_rounds_the_smaller_side_once(self):
+        # 1 - lam from lam's integers keeps the digits float(lam) drops
+        assert log_odds(1 - Fraction(1, 10 ** 12))[0] == 1e-12
+        assert log_odds(Fraction(1, 10 ** 12))[0] == 1e-12
+        assert log_odds(0.75) == (0.25, math.log1p(-0.25) - math.log(0.25), -1)
+        assert log_odds(Fraction(1, 2)) == (0.5, 0.0, 1)
+        assert log_odds(0) == (0.0, math.inf, 1)
+        assert log_odds(1) == (0.0, math.inf, -1)
+        assert log_rho(0) == math.inf and log_rho(1.0) == -math.inf
+
+    @pytest.mark.parametrize("lam", [-0.1, 1.5, math.nan, math.inf,
+                                     1 + Fraction(1, 10 ** 400), -Fraction(1, 10 ** 400)])
+    def test_log_odds_domain(self, lam):
+        for f in (log_odds, c_plain, c_eps):
+            with pytest.raises(ValueError, match="lam must lie in"):
+                f(lam)
+
+    def test_closed_forms_mirror_bit_for_bit(self):
+        # c_plain = L/(1-2g) reads one rounding of g in its numerator and its
+        # denominator, so an exact lam and 1 - lam give the same bits
+        lams = [Fraction(1, 2) + s * Fraction(1, 10 ** k)
+                for k in range(3, 13) for s in (1, -1)]
+        lams += [Fraction(k, 1009) for k in range(1, 1009)]
+        for lam in lams:
+            assert c_plain(lam) == c_plain(1 - lam), lam
+            assert c_eps(lam) == c_eps(1 - lam), lam
 
     def test_lambda_whose_float_is_an_end(self):
         # float(lam) is 0.0 or 1.0: log rho comes from lam's integer terms
