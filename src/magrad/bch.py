@@ -282,7 +282,7 @@ def bch_gain_upper(lam, cls: ConvexityClass, x1: float,
 def max_upsilon_l1(x1: float, x2: float) -> tuple:
     """(max over lam of upsilon_l1, argmax lam), grid plus bounded refinement."""
     vals = _upsilon(_grid_table(), x1, x2)[0]
-    return refine_max(lambda l: upsilon_l1(float(l), x1, x2).value,
+    return refine_max(lambda l: upsilon_l1(l, x1, x2).value,
                       _LAM_GRID, vals)
 
 
@@ -356,7 +356,7 @@ def c2_improved(cls: ConvexityClass) -> C2ScanResult:
         j = int(np.argmax(vals))
         root = _cube_root(float(vals[j]))
         if root < 1.0 and 1.0 - root < 1e-4:
-            sup, _ = refine_max(lambda l: bch_gain_upper(float(l), cls, x, x).bound,
+            sup, _ = refine_max(lambda l: bch_gain_upper(l, cls, x, x).bound,
                                 _LAM_GRID, vals)
             root = _cube_root(sup)
         if root < 1.0:

@@ -27,7 +27,6 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .kernels import plain_reduced_kernel, reduced_kernel
 from .series import horner, log_odds, log_rho, refine_max
@@ -145,15 +144,23 @@ def _tail_bound(c_abs: dict, N: int, r: Fraction) -> Optional[Fraction]:
 
 
 def _first_float_root(af: list, x_max: float) -> Optional[float]:
-    """First zero in (0, x_max] of the float polynomial af: a scan of _ODE_SCAN
-    cells for the first sign change, then Brent's method in that cell."""
+    """First sign change in (0, x_max] of the float polynomial af: a scan of
+    _ODE_SCAN cells for the first grid point where af <= 0, then bisection
+    of that cell down to adjacent floats y < y+, af(y) > 0 >= af(y+)."""
     with np.errstate(over="ignore", invalid="ignore"):
         xs = np.linspace(0.0, x_max, _ODE_SCAN + 1)
         down = np.flatnonzero(horner(af, xs) <= 0.0)
     if not down.size:
         return None
-    i = int(down[0])
-    return brentq(lambda x: horner(af, x), xs[i - 1], xs[i], xtol=1e-300)
+    lo, hi = float(xs[down[0] - 1]), float(xs[down[0]])
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if horner(af, mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return lo
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ with Fraction or `LambdaPoly` coefficients.  Division requires an invertible
 constant term.  Also here: the one Horner evaluator, the one elementwise
 libm pow, the one log((1-lam)/lam) (`log_odds`), the compositions of an
 integer, in the lexicographic order that fixes LP column order, and the one
-grid-then-Brent maximizer behind every sup over lam or t.
+grid-then-Brent maximizer behind every sup over lam or t, with its bounded
+Brent minimizer (`bounded_brent`).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from fractions import Fraction
 from itertools import repeat
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 
 def horner(coeffs, x):
@@ -34,9 +34,9 @@ def horner(coeffs, x):
             acc *= x
             acc += c
         return acc
-    acc = x * 0
+    acc, exact = x * 0, isinstance(x, Fraction)
     for c in reversed(coeffs):
-        acc = acc * x + (c if isinstance(x, Fraction) else float(c))
+        acc = acc * x + (c if exact else float(c))
     return acc
 
 
@@ -73,20 +73,96 @@ def log_rho(lam: Fraction | float) -> float:
     return sign * L
 
 
+#: the constants of Brent's bounded minimizer: a square root of the float
+#: epsilon as Brent's program rounds it, and the golden-section fraction
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_BRENT_MAXFUN = 500
+
+
+def bounded_brent(f, a: float, b: float, xatol: float) -> tuple:
+    """(f(x), x) at a local minimum of f on [a, b], a <= b finite floats.
+
+    Brent's method (*Algorithms for Minimization without Derivatives*, 1973,
+    ch. 5): golden-section steps, parabolic steps through the three best
+    points where they are acceptable, no step shorter than tol1 =
+    _SQRT_EPS*|x| + xatol/3, stopping once [a, b] lies within 2*tol1 of x
+    or after _BRENT_MAXFUN evaluations.  Step for step the loop of
+    `scipy.optimize.minimize_scalar(method="bounded")`, on Python floats,
+    so its evaluation points and result are that routine's bit for bit.
+    """
+    fulc = nfc = xf = a + _GOLDEN * (b - a)
+    rat = e = 0.0
+    fx = f(xf)
+    ffulc = fnfc = fx
+    num = 1
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:           # try a parabola through xf, nfc, fulc
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = -tol1 if xm - xf < 0 else tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+        step = max(abs(rat), tol1)
+        x = xf - step if rat < 0 else xf + step
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _BRENT_MAXFUN:
+            break
+    return fx, xf
+
+
 def refine_max(f, xs, vals, xatol: float = 1e-10) -> tuple:
-    """(max, argmax) of f as Python floats: the largest of the grid values
-    vals = f(xs), then bounded Brent between its two neighbours; the better
-    value wins, with the argument where it was reached (Brent's on a tie).
-    An infinite grid maximum is returned at its first grid point unrefined,
-    since Brent cannot compare infinite values."""
+    """(max, argmax) of f as Python floats, for an f that returns them: the
+    largest of the grid values vals = f(xs), then `bounded_brent` on -f
+    between its two neighbours; the better value wins, with the argument
+    where it was reached (Brent's on a tie).  An infinite grid maximum is
+    returned at its first grid point unrefined, since Brent cannot compare
+    infinite values."""
     i = int(np.argmax(vals))
     if vals[i] == np.inf:
         return float(vals[i]), float(xs[i])
     lo, hi = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, len(xs) - 1)])
-    res = minimize_scalar(lambda t: -f(t), bounds=(lo, hi), method="bounded",
-                          options={"xatol": xatol})
-    if -res.fun >= vals[i]:
-        return float(-res.fun), float(res.x)
+    fun, x = bounded_brent(lambda t: -f(t), lo, hi, xatol)
+    if -fun >= vals[i]:
+        return -fun, x
     return float(vals[i]), float(xs[i])
 
 

@@ -9,19 +9,20 @@ nested; each interval contains the grid operator's radius only until the
 noise floor, where the widening proves nothing: the FFT Toeplitz product's
 error is not bounded entry by entry.
 
-Toeplitz kernels (two-sided reduced form) multiply through
-`scipy.linalg.matmul_toeplitz`.  `radii_refined` answers a stack of
-two-sided kernels without that product: at lam = 1/2 by the closed form,
-at lam in {0, 1} by 0 (one branch vanishes and the operator is Volterra),
-and otherwise by conjugating with rho^t, rho = (1-lam)/lam, which turns the
-midpoint grid into a circulant, so rho^(t_i) is the grid's Perron vector
-and its eigenvalue is mu_n = sum_e row_e rho^(e/n), read off the grid's
-Toeplitz vectors.  That is the left Riemann sum of
-lam * integral_0^1 Ktilde(s) rho^s ds, the kernel's exact radius, and the
-grid doubling schedule with Richardson extrapolation on it is Romberg
-integration.  Its first grid, of 2*REFINE_N0 points, gives the first two
-levels, since its even entries are exactly the REFINE_N0-point grid's
-samples; each further level samples one doubled grid.
+Toeplitz kernels (two-sided reduced form) multiply through a zero-padded
+`numpy.fft.rfft`/`irfft` product of length 2n - 1.  `radii_refined`
+answers a stack of two-sided kernels without that product: at lam = 1/2
+by the closed form, at lam in {0, 1} by 0 (one branch vanishes and the
+operator is Volterra), and otherwise by conjugating with rho^t,
+rho = (1-lam)/lam, which turns the midpoint grid into a circulant, so
+rho^(t_i) is the grid's Perron vector and its eigenvalue is
+mu_n = sum_e row_e rho^(e/n), read off the grid's Toeplitz vectors.
+That is the left Riemann sum of lam * integral_0^1 Ktilde(s) rho^s ds, the
+kernel's exact radius, and the grid doubling schedule with Richardson
+extrapolation on it is Romberg integration.  Its first grid, of
+2*REFINE_N0 points, gives the first two levels, since its even entries are
+exactly the REFINE_N0-point grid's samples; each further level samples one
+doubled grid.
 
 `radii_refined` takes any number of kernels of one degree, REFINE_STACK
 at a time, and every level is one numpy pass over such a stack:
@@ -42,7 +43,6 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg import matmul_toeplitz
 
 from .kernels import TwoSidedKernel
 from .series import horner, log_rho
@@ -67,8 +67,9 @@ KernelLike = Union[TwoSidedKernel, Callable[[float, float], float]]
 class OperatorGrid:
     """Midpoint Nystrom discretization A[i][j] = K(t_i, t_j)/n.
 
-    A Toeplitz grid keeps its first column and row and multiplies with
-    `scipy.linalg.matmul_toeplitz`; any other grid keeps its dense matrix.
+    A Toeplitz grid keeps its first column and row and multiplies through
+    its circulant embedding of length 2n - 1, with `numpy.fft.rfft` and
+    `irfft`; any other grid keeps its dense matrix.
     Either goes through `_check_samples`, so a non-finite or negative entry
     raises `InvalidKernelError`.
     """
@@ -87,7 +88,12 @@ class OperatorGrid:
     def matvec(self, v: np.ndarray) -> np.ndarray:
         if self.toeplitz is None:
             return self.matrix @ v
-        return matmul_toeplitz(self.toeplitz, v)
+        # the Toeplitz matrix embedded in a circulant of length m = 2n - 1,
+        # whose first column is (col, row[n-1:0:-1]): a zero-padded FFT product
+        col, row = self.toeplitz
+        m = 2 * self.n - 1
+        spectrum = np.fft.rfft(np.concatenate((col, row[:0:-1]))) * np.fft.rfft(v, m)
+        return np.fft.irfft(spectrum, m)[:self.n]
 
     @property
     def hopf_rate(self) -> Optional[float]:

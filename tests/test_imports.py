@@ -1,18 +1,35 @@
 """`src/` imports only the standard library and the declared dependencies,
-raises on a broken invariant instead of asserting it (`python -O` strips
-every `assert`), and forms log((1-lam)/lam) in `series.log_odds` alone."""
+loads no scipy module, raises on a broken invariant instead of asserting it
+(`python -O` strips every `assert`), and forms log((1-lam)/lam) in
+`series.log_odds` alone."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "magrad"
-#: the [project] dependencies of pyproject.toml, and the package itself
-ALLOWED = set(sys.stdlib_module_names) | {"numpy", "scipy", "magrad"}
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "magrad"
+
+
+@pytest.fixture(scope="module")
+def allowed() -> set:
+    """The standard library, the [project] dependencies of pyproject.toml
+    (by distribution name, read with tomllib) and the package itself."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    names = {re.match(r"[\w.-]+", dep).group().lower().replace("-", "_")
+             for dep in deps}
+    return set(sys.stdlib_module_names) | names | {"magrad"}
+
+
+def test_numpy_is_the_only_dependency(allowed):
+    assert allowed - set(sys.stdlib_module_names) == {"numpy", "magrad"}
 
 
 def imported_roots(tree: ast.AST):
@@ -25,9 +42,9 @@ def imported_roots(tree: ast.AST):
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
-def test_imports_are_declared(path):
+def test_imports_are_declared(path, allowed):
     tree = ast.parse(path.read_text(), filename=str(path))
-    undeclared = sorted(set(imported_roots(tree)) - ALLOWED)
+    undeclared = sorted(set(imported_roots(tree)) - allowed)
     assert not undeclared, f"{path.name} imports {undeclared}"
 
 
@@ -47,9 +64,10 @@ def test_assert_statement_is_caught():
     assert assert_lines(tree) == [2]
 
 
-def test_undeclared_import_is_caught():
-    tree = ast.parse("import sympy\nfrom mpmath import mp\nfrom . import kernels\n")
-    assert sorted(set(imported_roots(tree)) - ALLOWED) == ["mpmath", "sympy"]
+def test_undeclared_import_is_caught(allowed):
+    tree = ast.parse("import sympy\nfrom mpmath import mp\nfrom . import kernels\n"
+                     "from scipy.optimize import brentq\n")
+    assert sorted(set(imported_roots(tree)) - allowed) == ["mpmath", "scipy", "sympy"]
 
 
 def math_calls(tree: ast.AST, name: str) -> list:
@@ -82,13 +100,20 @@ def test_math_call_is_caught():
     assert math_calls(tree, "log") == [5]
 
 
-def test_cli_stack_leaves_scipy_integrate_out():
+def test_magrad_loads_no_scipy_module():
     # a fresh interpreter, so no other test module's imports count
-    child = ("import sys\n"
-             "import magrad.magnus, magrad.cli, magrad.verify\n"
-             "raise SystemExit('scipy.integrate' in sys.modules)\n")
+    child = ("import importlib, pkgutil, sys\n"
+             "import magrad\n"
+             "for m in pkgutil.iter_modules(magrad.__path__):\n"
+             "    importlib.import_module('magrad.' + m.name)\n"
+             "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))\n"
+             "print(sorted(n for n in sys.modules if n.startswith('magrad.')))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH")))))
     res = subprocess.run([sys.executable, "-c", child], env=env,
                          capture_output=True, text=True, timeout=120)
-    assert res.returncode == 0, res.stderr or "scipy.integrate was imported"
+    assert res.returncode == 0, res.stderr
+    scipy_modules, magrad_modules = res.stdout.splitlines()
+    assert scipy_modules == "[]"
+    assert magrad_modules == repr(sorted(f"magrad.{p.stem}" for p in SRC.glob("*.py")
+                                         if p.stem != "__init__"))

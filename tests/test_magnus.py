@@ -9,9 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 import magrad
-from magrad import specrad
+from magrad import bch, magnus, series, specrad
 from magrad.cli import main
 from magrad.kernels import plain_reduced_kernel, reduced_kernel
 from magrad.magnus import (
@@ -34,7 +37,8 @@ from magrad.magnus import (
     upper_trivial,
     w_plain,
 )
-from magrad.series import horner, log_odds, log_rho, refine_max, series_div
+from magrad.series import (bounded_brent, horner, log_odds, log_rho, refine_max,
+                           series_div)
 from magrad.umqnorm import PLAIN, ConvexityClass, theta_ab
 
 Q1 = ConvexityClass.from_q(1)
@@ -73,6 +77,19 @@ class TestClosedForms:
     def test_plain_subnormal_lambda_is_finite(self):
         # log((1 - lam)/lam) would overflow: (1 - lam)/lam is inf here
         assert c_plain(5e-324) == pytest.approx(744.44007192138, rel=1e-12)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "FOUND in CHANGES.md: c_plain returns exactly 2.0 at lam = 1/2 +- 1e-6, "
+        "since log1p(-g) - log(g) cancels to the digits of 1 - 2g"))
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_plain_near_half_to_two_ulps(self, sign):
+        # 2*artanh(x)/x = 2 * sum x^(2k)/(2k+1), x = 1 - 2*lam = -+2e-6: the
+        # terms past k = 4 are below 1e-50
+        lam = Fraction(1, 2) + sign * Fraction(1, 10 ** 6)
+        x = 1 - 2 * lam
+        want = float(2 * sum(x ** (2 * k) / (2 * k + 1) for k in range(5)))
+        assert want == 2.0000000000026668
+        assert abs(c_plain(lam) - want) <= 2 * math.ulp(want)
 
 
 class TestLogRho:
@@ -216,6 +233,25 @@ class TestOdeBlowup:
         # at lam in {0, 1} there is no blow-up to bracket (c_plain is inf)
         with pytest.raises(ValueError, match=r"\(0, 1\)"):
             blowup_bracket(lam)
+
+    @pytest.mark.parametrize("gap", [None, Fraction(1, 8) - Fraction(5, 48)])
+    @pytest.mark.parametrize("lam", [Fraction(1, 2), 1e-40, 1 - 1e-12])
+    def test_float_root_is_bisected_to_adjacent_floats(self, lam, gap, monkeypatch):
+        # every float polynomial the bracket scans: the root lies in the first
+        # scanned cell where af <= 0, between adjacent floats y < y+
+        seen, find = [], magnus._first_float_root
+
+        def record(af, x_max):
+            seen.append((af, x_max, find(af, x_max)))
+            return seen[-1][2]
+        monkeypatch.setattr(magnus, "_first_float_root", record)
+        blowup_bracket(lam, [(4, gap)] if gap else ())
+        assert seen
+        for af, x_max, y in seen:
+            xs = np.linspace(0.0, x_max, magnus._ODE_SCAN + 1)
+            i = int(np.flatnonzero(horner(af, xs) <= 0.0)[0])
+            assert xs[i - 1] <= y < xs[i]
+            assert horner(af, y) > 0.0 >= horner(af, math.nextafter(y, math.inf))
 
     def test_first_order_correction_closed_form(self):
         # gap 1/2 at k = 1: T' = ((T + 2)^2 - 2)/4, blowing up at
@@ -453,3 +489,65 @@ class TestRefineMax:
         sup, arg = refine_max(f, xs, np.array([f(t) for t in xs]))
         assert arg == pytest.approx(0.3141, abs=1e-8)
         assert sup == f(arg) and sup > f(0.3)
+
+
+def brent_calls(thunk) -> list:
+    """The (f, a, b, xatol) of every `bounded_brent` call that thunk makes."""
+    calls, real = [], series.bounded_brent
+
+    def record(f, a, b, xatol):
+        calls.append((f, a, b, xatol))
+        return real(f, a, b, xatol)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series, "bounded_brent", record)
+        thunk()
+    return calls
+
+
+def assert_brent_is_scipys(f, a, b, xatol):
+    """The port and scipy's bounded method evaluate f at the same points and
+    return the same (fun, x), bit for bit, as Python floats."""
+    points = {"port": [], "scipy": []}
+
+    def traced(key):
+        return lambda t: points[key].append(float(t)) or f(t)
+    fun, x = bounded_brent(traced("port"), a, b, xatol)
+    res = minimize_scalar(traced("scipy"), bounds=(a, b), method="bounded",
+                          options={"xatol": xatol})
+    assert type(fun) is float and type(x) is float
+    assert (fun.hex(), x.hex()) == (float(res.fun).hex(), float(res.x).hex())
+    assert [t.hex() for t in points["port"]] == [t.hex() for t in points["scipy"]]
+
+
+def c2_refine(q: int):
+    """The C2 scan's refinement for class q at its threshold x1 = x2 = s/2."""
+    cls = ConvexityClass.from_q(q)
+    x = bch.c2_improved(cls).value / 2.0
+    _, l1c, gain, _, _ = bch._cube_bound(bch._grid_table(), cls, x, x)
+    return refine_max(lambda l: bch.bch_gain_upper(l, cls, x, x).bound,
+                      bch._LAM_GRID, l1c - gain)
+
+
+class TestBoundedBrent:
+    @pytest.mark.parametrize("thunk", [
+        lambda: c_log_bound(3, Q1, grid=11),
+        lambda: kernel_ratio_sup(3, Fraction(2, 5), Q1),
+        lambda: kernel_ratio_sup(3, Fraction(331, 1009), Q2),
+        lambda: bch.max_upsilon_l1(bch.C2_REFERENCE / 2, bch.C2_REFERENCE / 2),
+        lambda: c2_refine(1),
+        lambda: c2_refine(2),
+    ], ids=["c_log_bound", "ratio-2/5", "ratio-331/1009", "upsilon_l1", "c2-q1", "c2-q2"])
+    def test_real_objectives_match_scipy(self, thunk):
+        calls = brent_calls(thunk)
+        assert calls
+        for f, a, b, xatol in calls:
+            assert_brent_is_scipys(f, a, b, xatol)
+
+    @settings(max_examples=150, deadline=None)
+    @given(coef=st.tuples(*[st.floats(-10.0, 10.0)] * 4), w=st.floats(0.0, 20.0),
+           a=st.floats(-10.0, 10.0), width=st.floats(0.0, 5.0),
+           xatol=st.sampled_from([1e-6, 1e-10]))
+    def test_smooth_functions_match_scipy(self, coef, w, a, width, xatol):
+        c0, c1, c2, c3 = coef
+        f = lambda t: c0 * (t - c1) ** 2 + c2 * math.sin(w * t) + c3 * t ** 3 / 30.0
+        assert_brent_is_scipys(f, a, a + width, xatol)
